@@ -12,7 +12,10 @@ This package is the data plane underneath every mining pass:
   ``dict``, ``hashtree``, ``vertical`` and ``packed`` strategies behind
   one pass-level interface, selectable from :mod:`repro.core.apriori`,
   :mod:`repro.mining.context`, the engine, and TML ``SET ENGINE``
-  (where ``AUTO`` delegates the choice to :mod:`repro.planner`).
+  (``AUTO`` is the ``packed`` kernel at every one of them).
+* :mod:`repro.columnar.perunit` — the per-unit loops around a backend:
+  item bincounts and candidate counts per time unit, shared by the
+  serial context and the shard workers.
 
 All backends produce bit-identical support counts; only the work they
 do to obtain them differs.  The property suite enforces the agreement.

@@ -11,9 +11,9 @@ path out of the interpreter entirely; ``packed`` intersects whole
 candidate blocks column-wise, removing even the per-prefix-group Python
 loop.
 
-Every backend is registered by name; ``resolve_backend`` also implements
-the ``"auto"`` heuristic shared with
-:func:`repro.core.counting.make_counter`.  All backends produce
+Every backend is registered by name, and this module is the one place
+that knows what ``"auto"`` means: the ``packed`` kernel
+(:data:`AUTO_BACKEND`), for every pass.  All backends produce
 bit-identical counts (the property suite enforces this), so selecting
 one is purely a performance decision.
 """
@@ -24,7 +24,7 @@ import abc
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.bitmaps import VerticalIndex
-from repro.core.counting import DictCounter, HashTreeCounter, auto_strategy
+from repro.core.counting import DictCounter, HashTreeCounter
 from repro.core.items import Item, Itemset
 from repro.errors import MiningParameterError
 from repro.obs.metrics import default_registry
@@ -32,6 +32,9 @@ from repro.runtime.budget import RunMonitor
 
 #: Baskets counted between two monitor checkpoints (horizontal backends).
 _CHECK_STRIDE = 4096
+
+#: The backend ``"auto"`` resolves to, everywhere.
+AUTO_BACKEND = "packed"
 
 
 class BasketSegment:
@@ -93,8 +96,8 @@ class CountingBackend(abc.ABC):
 class _HorizontalBackend(CountingBackend):
     """Shared scan loop for the per-transaction counting strategies."""
 
-    def _make_counter(self, candidates: Sequence[Itemset]):
-        raise NotImplementedError
+    #: The per-transaction counter class; subclasses must override.
+    counter_class: type
 
     def count_pass(
         self,
@@ -102,7 +105,7 @@ class _HorizontalBackend(CountingBackend):
         segment,
         monitor: Optional[RunMonitor] = None,
     ) -> Dict[Itemset, int]:
-        counter = self._make_counter(candidates)
+        counter = self.counter_class(candidates)
         baskets = segment.baskets()
         if monitor is None:
             for basket in baskets:
@@ -119,18 +122,14 @@ class DictBackend(_HorizontalBackend):
     """Subset enumeration against a candidate dictionary."""
 
     name = "dict"
-
-    def _make_counter(self, candidates: Sequence[Itemset]):
-        return DictCounter(candidates)
+    counter_class = DictCounter
 
 
 class HashTreeBackend(_HorizontalBackend):
     """The 1994 Agrawal–Srikant hash tree."""
 
     name = "hashtree"
-
-    def _make_counter(self, candidates: Sequence[Itemset]):
-        return HashTreeCounter(candidates)
+    counter_class = HashTreeCounter
 
 
 class VerticalBackend(CountingBackend):
@@ -187,28 +186,40 @@ def available_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def get_backend(name: str) -> CountingBackend:
-    """The backend registered as ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(available_backends())
+def validate_backend_name(name: str) -> str:
+    """``name`` if it is ``"auto"`` or a registered backend; raises otherwise.
+
+    The single validator behind every surface that accepts a backend
+    name (miner arguments, ``SET ENGINE``, ``REPRO_PLAN``, planner pins).
+    """
+    if name != "auto" and name not in _REGISTRY:
+        known = ", ".join(["auto"] + available_backends())
         raise MiningParameterError(
             f"unknown counting backend {name!r}; available: {known}"
-        ) from None
+        )
+    return name
+
+
+def get_backend(name: str) -> CountingBackend:
+    """The backend registered as ``name`` (``"auto"`` is the packed kernel)."""
+    return _REGISTRY[AUTO_BACKEND if validate_backend_name(name) == "auto" else name]
 
 
 def resolve_backend(
     strategy: str, n_candidates: int = 0, k: int = 0
 ) -> CountingBackend:
-    """Resolve a strategy name (including ``"auto"``) for one pass."""
-    if strategy == "auto":
-        backend = _REGISTRY[auto_strategy(n_candidates, k)]
-    else:
-        backend = get_backend(strategy)
+    """Resolve a strategy name for one counting pass and record the dispatch.
+
+    Call it once per pass, in the process whose metrics get scraped;
+    shard workers receive the resolved name and use :func:`get_backend`.
+    ``n_candidates`` and ``k`` (the pass shape the old heuristic keyed
+    on) are still accepted and never influence the choice: ``"auto"`` is
+    the same kernel for every pass.
+    """
+    backend = get_backend(strategy)
     default_registry().counter(
         "repro_counting_dispatch_total",
-        "Counting-pass dispatches, by resolved backend.",
+        "Counting passes dispatched, by resolved backend.",
         labelnames=("backend",),
     ).inc(backend=backend.name)
     return backend

@@ -11,9 +11,10 @@ implementation follows the paper's two ideas exactly:
    (k−1)-subset).
 
 Options mirror the classic engineering choices: pluggable counting
-backend (dict vs hash tree vs vertical bitmaps, selected through the
-registry in :mod:`repro.columnar.backends`) and transaction reduction
-(drop transactions that can no longer contain any candidate).
+backend (selected through the registry in
+:mod:`repro.columnar.backends`, which also owns what ``"auto"`` means)
+and transaction reduction (drop transactions that can no longer contain
+any candidate).
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from typing import (
 
 from repro.columnar.backends import (
     BasketSegment,
-    available_backends,
-    get_backend,
     resolve_backend,
+    validate_backend_name,
 )
-from repro.columnar.encoded import EncodedDatabase
+from repro.columnar.encoded import EncodedDatabase, EncodedSegment
 from repro.core.items import Item, Itemset
 from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
@@ -56,11 +56,11 @@ class AprioriOptions:
     """Tuning knobs for one Apriori run.
 
     Attributes:
-        counting: ``"auto"`` or any registered backend name —
-            ``"dict"``, ``"hashtree"`` or ``"vertical"``.
+        counting: ``"auto"`` (the ``packed`` bitmap kernel) or any
+            registered backend name.
         transaction_reduction: drop transactions smaller than the current
             candidate size between passes (they cannot support anything;
-            moot for the vertical backend, which never re-scans baskets).
+            moot for the bitmap backends, which never re-scan baskets).
         max_size: stop after frequent itemsets of this size (0 = unbounded).
     """
 
@@ -69,8 +69,7 @@ class AprioriOptions:
     max_size: int = 0
 
     def __post_init__(self) -> None:
-        if self.counting != "auto" and self.counting not in available_backends():
-            raise MiningParameterError(f"unknown counting strategy {self.counting!r}")
+        validate_backend_name(self.counting)
         if self.max_size < 0:
             raise MiningParameterError("max_size must be >= 0")
 
@@ -236,35 +235,17 @@ def apriori(
             monitor.complete_pass()
             monitor.checkpoint()
 
-        # Bitmap backends (vertical/packed) count against one index
-        # built once over the whole database and reused by every pass,
-        # so their segment is prepared up front; horizontal backends
-        # re-scan a working basket list that transaction reduction may
-        # shrink.
-        bitmap_counting = (
-            options.counting != "auto"
-            and get_backend(options.counting).uses_vertical
+        # Bitmap backends (vertical/packed, hence ``auto``) count against
+        # one index over the whole database, built by the first pass and
+        # reused by every later one; horizontal backends re-scan a
+        # working basket list that transaction reduction may shrink.
+        encoded = (
+            database
+            if isinstance(database, EncodedDatabase)
+            else EncodedDatabase.from_database(database)
         )
-        vertical_segment = None
-        baskets: List[Tuple[Item, ...]] = []
-        encoded_parallel = None
-        if bitmap_counting or executor is not None:
-            encoded = (
-                database
-                if isinstance(database, EncodedDatabase)
-                else EncodedDatabase.from_database(database)
-            )
-            if executor is not None:
-                encoded_parallel = encoded
-            if bitmap_counting:
-                vertical_segment = encoded.segment()
-        if not bitmap_counting:
-            # Serial fallback scans these baskets even when a parallel
-            # executor is attached (it may decline or degrade mid-run).
-            if isinstance(database, EncodedDatabase):
-                baskets = list(database.iter_baskets())
-            else:
-                baskets = [t.items.items for t in database]
+        whole = encoded.segment()
+        reduced: Optional[List[Tuple[Item, ...]]] = None
 
         k = 2
         while frequent and (options.max_size == 0 or k <= options.max_size):
@@ -273,10 +254,11 @@ def apriori(
                 break
             if monitor is not None:
                 monitor.charge_candidates(len(candidates))
+            backend = resolve_backend(options.counting)
             counted: Optional[Mapping[Itemset, int]] = None
-            if executor is not None and encoded_parallel is not None:
+            if executor is not None:
                 vector = executor.count_flat(
-                    encoded_parallel, candidates, options.counting, monitor=monitor
+                    encoded, candidates, backend.name, monitor=monitor
                 )
                 if vector is not None:
                     counted = {
@@ -284,13 +266,13 @@ def apriori(
                         for candidate, count in zip(candidates, vector)
                     }
             if counted is None:
-                backend = resolve_backend(options.counting, len(candidates), k)
-                if backend.uses_vertical:
-                    segment = vertical_segment
-                else:
-                    if options.transaction_reduction:
-                        baskets = [b for b in baskets if len(b) >= k]
-                    segment = BasketSegment(baskets)
+                # The serial scan, also the fallback when a parallel
+                # executor declines the pass or degrades mid-run.
+                segment: Union[EncodedSegment, BasketSegment] = whole
+                if not backend.uses_vertical and options.transaction_reduction:
+                    working = whole.baskets() if reduced is None else reduced
+                    reduced = [b for b in working if len(b) >= k]
+                    segment = BasketSegment(reduced)
                 counted = backend.count_pass(candidates, segment, monitor=monitor)
             frequent = []
             for itemset, count in counted.items():

@@ -1,7 +1,10 @@
 """Candidate support-counting strategies.
 
-Apriori is agnostic to *how* candidate supports are counted per pass;
-this module provides the two classic strategies behind one interface:
+The two classic per-transaction counters behind the ``dict`` and
+``hashtree`` backends of :mod:`repro.columnar.backends`; production
+counting (``"auto"``) runs the bitmap kernels instead, and
+:class:`DictCounter` is the reference the property suite compares every
+backend against:
 
 * :class:`DictCounter` — direct subset enumeration against a candidate
   dictionary.  For a transaction of size t and candidate size k it either
@@ -16,20 +19,10 @@ resulting support counts are identical — a property the test suite checks.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, Protocol, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.core.hashtree import HashTree
 from repro.core.items import Item, Itemset
-
-
-class SupportCounter(Protocol):
-    """Interface shared by all counting strategies."""
-
-    def count_transaction(self, transaction_items: Sequence[Item]) -> None:
-        """Account one transaction."""
-
-    def counts(self) -> Dict[Itemset, int]:
-        """Support counts for every candidate (including zero counts)."""
 
 
 class DictCounter:
@@ -92,51 +85,3 @@ class HashTreeCounter:
 
     def counts(self) -> Dict[Itemset, int]:
         return self._tree.counts()
-
-
-def auto_strategy(
-    n_candidates: int, k: int, hash_tree_threshold: int = 4096
-) -> str:
-    """The ``"auto"`` heuristic, shared with the backend registry.
-
-    For small candidate sizes (k <= 3) the dict counter's
-    subset-enumeration path costs O(C(t, k)) per transaction — at most a
-    few hundred hashed tuple probes — and beats the hash tree's pointer
-    chasing regardless of how many candidates there are.  The hash tree
-    (the 1994 design, kept both for fidelity and for the deep-k case)
-    only wins once k is large enough that C(t, k) explodes while the
-    candidate set is also too large to probe directly.
-    """
-    if k > 3 and n_candidates >= hash_tree_threshold:
-        return "hashtree"
-    return "dict"
-
-
-def make_counter(
-    candidates: Sequence[Itemset],
-    strategy: str = "auto",
-    hash_tree_threshold: int = 4096,
-) -> SupportCounter:
-    """Build a per-transaction counter for one Apriori pass.
-
-    Args:
-        candidates: the candidate k-itemsets of this pass.
-        strategy: ``"dict"``, ``"hashtree"`` or ``"auto"``
-            (:func:`auto_strategy`).
-        hash_tree_threshold: candidate count at which ``"auto"`` switches
-            for large candidate sizes.
-
-    The vertical (bitmap) backend does not fit the per-transaction
-    :class:`SupportCounter` interface — it counts a whole pass at once
-    over a columnar segment; select it through the registry in
-    :mod:`repro.columnar.backends` instead.
-    """
-    if strategy == "auto":
-        sizes = {len(c) for c in candidates}
-        k = max(sizes) if sizes else 0
-        strategy = auto_strategy(len(candidates), k, hash_tree_threshold)
-    if strategy == "dict":
-        return DictCounter(candidates)
-    if strategy == "hashtree":
-        return HashTreeCounter(candidates)
-    raise ValueError(f"unknown counting strategy {strategy!r}")

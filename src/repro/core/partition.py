@@ -23,8 +23,10 @@ supports are the object of interest, not an intermediate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
+from repro.columnar.backends import resolve_backend
+from repro.columnar.encoded import EncodedDatabase
 from repro.core.apriori import (
     AprioriOptions,
     FrequentItemsets,
@@ -32,8 +34,7 @@ from repro.core.apriori import (
     apriori,
     validate_min_support,
 )
-from repro.core.counting import make_counter
-from repro.core.items import Item, Itemset
+from repro.core.items import Itemset
 from repro.core.transactions import Transaction, TransactionDatabase
 from repro.errors import MiningParameterError
 
@@ -89,12 +90,10 @@ def partition(
         by_size.setdefault(len(candidate), []).append(candidate)
 
     result: Dict[Itemset, int] = {}
-    baskets: List[Tuple[Item, ...]] = [t.items.items for t in transactions]
+    segment = EncodedDatabase.from_database(database).segment()
     for size in sorted(by_size):
-        counter = make_counter(by_size[size], strategy=counting)
-        for basket in baskets:
-            counter.count_transaction(basket)
-        for itemset, count in counter.counts().items():
+        backend = resolve_backend(counting)
+        for itemset, count in backend.count_pass(by_size[size], segment).items():
             if count >= min_count:
                 result[itemset] = count
     return FrequentItemsets(result, n)

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence,
 import numpy as np
 
 from repro.columnar.encoded import EncodedDatabase
+from repro.columnar.perunit import count_items_per_unit
 from repro.core.items import Item, Itemset
 from repro.core.transactions import TransactionDatabase
 from repro.mining.context import TemporalContext
@@ -159,32 +160,19 @@ class IncrementalContext(TemporalContext):
         stale = self.dirty_mask(self._item_epoch)
         dirty = int(np.count_nonzero(stale))
         started = perf_counter()
-        n_items = self.encoded.n_items
-        fresh: Optional[np.ndarray] = None
+        # The scan ticks every unit, not just the stale ones: a clean
+        # unit served from cache is still covered by this pass, and the
+        # run report (granules, budget charge, chaos hook) must match a
+        # cold run granule for granule.
+        recounted = count_items_per_unit(
+            self.encoded, self._bounds, unit_mask=stale, monitor=monitor
+        )
         if dirty:
-            fresh = np.zeros((n_items, self.n_units), dtype=np.int64)
-            fresh[: matrix.shape[0]] = matrix
-        ids = self.encoded.item_ids
-        offsets = self.encoded.offsets
-        bounds = self._bounds
-        # Tick every unit, not just the stale ones: a clean unit served
-        # from cache is still covered by this pass, and the run report
-        # (granules, budget charge, chaos hook) must match a cold run
-        # granule for granule.
-        for offset in range(self.n_units):
-            if monitor is not None:
-                monitor.tick_granule(offset)
-            if fresh is None or not stale[offset]:
-                continue
-            lo, hi = bounds[offset], bounds[offset + 1]
-            if hi > lo:
-                unit_ids = ids[offsets[lo] : offsets[hi]]
-                fresh[:, offset] = np.bincount(unit_ids, minlength=n_items)
-            else:
-                fresh[:, offset] = 0
-        if fresh is not None:
             # Commit only after the full recount: RunInterrupted above
             # leaves the previous matrix (and its epoch) untouched.
+            fresh = np.zeros_like(recounted)
+            fresh[: matrix.shape[0]] = matrix
+            fresh[:, stale] = recounted[:, stale]
             self._item_matrix = matrix = fresh
             self._item_epoch = self.epoch
             self._record_delta(dirty, perf_counter() - started)

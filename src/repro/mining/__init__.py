@@ -38,10 +38,6 @@ from repro.mining.cooccurrence import (
     describe_groups,
     temporal_jaccard,
 )
-from repro.mining.incremental import (
-    IncrementalPeriodicityMiner,
-    IncrementalValidPeriodMiner,
-)
 from repro.mining.pruning import (
     PruningOutcome,
     PruningPolicy,
@@ -83,8 +79,6 @@ __all__ = [
     "ConstrainedTask",
     "CotemporalGroup",
     "GranularityFinding",
-    "IncrementalPeriodicityMiner",
-    "IncrementalValidPeriodMiner",
     "ItemsetPeriods",
     "MiningReport",
     "PerUnitCounts",

@@ -18,14 +18,19 @@ the temporal anti-monotone prune.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.columnar.backends import resolve_backend
 from repro.columnar.encoded import EncodedDatabase, EncodedSegment
-from repro.core.apriori import generate_candidates, _min_count
+from repro.columnar.perunit import (
+    SegmentCache,
+    count_candidates_per_unit,
+    count_items_per_unit,
+)
+from repro.core.apriori import generate_candidates
 from repro.core.items import Item, Itemset
 from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError, TransactionError
@@ -71,7 +76,7 @@ class TemporalContext:
         self.first_unit, self._bounds = self.encoded.unit_bounds(granularity)
         self.last_unit = self.first_unit + len(self._bounds) - 2
         self.unit_sizes = np.diff(self._bounds)
-        self._segments: List[Optional[EncodedSegment]] = [None] * self.n_units
+        self._segments: SegmentCache = {}
 
     @property
     def n_units(self) -> int:
@@ -85,12 +90,10 @@ class TemporalContext:
 
     def unit_segment(self, offset: int) -> EncodedSegment:
         """The zero-copy columnar segment of the unit at ``offset``."""
-        segment = self._segments[offset]
+        key = (int(self._bounds[offset]), int(self._bounds[offset + 1]))
+        segment = self._segments.get(key)
         if segment is None:
-            lo = int(self._bounds[offset])
-            hi = int(self._bounds[offset + 1])
-            segment = self.encoded.segment(lo, hi)
-            self._segments[offset] = segment
+            segment = self._segments[key] = self.encoded.segment(*key)
         return segment
 
     def baskets_in_unit(self, offset: int) -> Sequence[Tuple[Item, ...]]:
@@ -124,30 +127,17 @@ class TemporalContext:
         raises :class:`~repro.runtime.budget.RunInterrupted` mid-scan;
         callers treat the level-1 pass as incomplete in that case.
 
-        Counting is one :func:`numpy.bincount` per unit over the unit's
-        contiguous ``item_ids`` slice — no per-basket Python work.  With
-        an ``executor``, the unit range is sharded across worker
+        With an ``executor``, the unit range is sharded across worker
         processes and the per-shard matrices merged in shard order
-        (bit-identical to the serial scan); the serial loop is the
+        (bit-identical to the serial scan); the serial scan
+        (:func:`repro.columnar.perunit.count_items_per_unit`) is the
         fallback whenever the executor declines the pass.
         """
-        n = self.n_units
-        n_items = self.encoded.n_items
         matrix: Optional[np.ndarray] = None
         if executor is not None:
             matrix = executor.count_items(self.encoded, self._bounds, monitor=monitor)
         if matrix is None:
-            matrix = np.zeros((n_items, n), dtype=np.int64)
-            ids = self.encoded.item_ids
-            offsets = self.encoded.offsets
-            bounds = self._bounds
-            for offset in range(n):
-                if monitor is not None:
-                    monitor.tick_granule(offset)
-                lo, hi = bounds[offset], bounds[offset + 1]
-                if hi > lo:
-                    unit_ids = ids[offsets[lo] : offsets[hi]]
-                    matrix[:, offset] = np.bincount(unit_ids, minlength=n_items)
+            matrix = count_items_per_unit(self.encoded, self._bounds, monitor=monitor)
         present = np.flatnonzero(matrix.any(axis=1))
         return {int(item): matrix[item] for item in present}
 
@@ -166,9 +156,8 @@ class TemporalContext:
             unit_mask: optional boolean array (length ``n_units``); units
                 where it is ``False`` are skipped entirely — the hook the
                 cycle-skipping optimization uses.
-            counting: ``"auto"`` or any registered counting backend —
-                ``"dict"``, ``"hashtree"`` or ``"vertical"`` (see
-                :mod:`repro.columnar.backends`).
+            counting: ``"auto"`` or any registered counting backend (see
+                :func:`repro.columnar.backends.available_backends`).
             monitor: optional run monitor, checked at every granule
                 boundary; raises
                 :class:`~repro.runtime.budget.RunInterrupted` mid-scan,
@@ -179,112 +168,67 @@ class TemporalContext:
                 merged matrix (deterministic shard order) replaces the
                 serial scan bit for bit.
         """
-        n = self.n_units
-        results: Dict[Itemset, np.ndarray] = {
-            c: np.zeros(n, dtype=np.int64) for c in candidates
-        }
-        if not candidates:
-            return results
-        if executor is not None:
-            matrix = executor.count_candidates(
-                self.encoded,
-                self._bounds,
-                candidates,
-                counting,
-                unit_mask=unit_mask,
-                monitor=monitor,
-            )
-            if matrix is not None:
-                for row, candidate in enumerate(candidates):
-                    results[candidate] = matrix[row]
-                return results
-        backend = resolve_backend(counting, len(candidates), len(candidates[0]))
-        for offset in range(n):
-            if monitor is not None:
-                monitor.tick_granule(offset)
-            if unit_mask is not None and not unit_mask[offset]:
-                continue
-            if not self.unit_sizes[offset]:
-                continue
-            counted = backend.count_pass(
-                candidates, self.unit_segment(offset), monitor=monitor
-            )
-            for itemset, count in counted.items():
-                if count:
-                    results[itemset][offset] = count
-        return results
+        return self.count_candidates_masked(
+            candidates, None, counting, monitor, executor, unit_mask=unit_mask
+        )
 
     def count_candidates_masked(
         self,
         candidates: Sequence[Itemset],
-        candidate_masks: np.ndarray,
+        candidate_masks: Optional[np.ndarray],
         counting: str = "auto",
         monitor: Optional[RunMonitor] = None,
         executor: Optional["ShardedExecutor"] = None,
+        unit_mask: Optional[np.ndarray] = None,
     ) -> Dict[Itemset, np.ndarray]:
         """Per-unit supports with a *per-candidate* unit mask.
 
         ``candidate_masks`` is a boolean ``(len(candidates), n_units)``
         matrix; candidate ``i`` is only counted in the units where row
         ``i`` is ``True`` — the fine-grained form of cycle skipping the
-        interleaved periodicity algorithm relies on.  Serial and sharded
-        paths resolve the backend per unit from the *active* candidate
-        subset, exactly like the original interleaved loop, so counts
-        are bit-identical either way.
+        interleaved periodicity algorithm relies on (``None`` counts
+        every candidate wherever ``unit_mask`` allows).
+
+        This is the one counting pass behind both public methods: the
+        backend is resolved once, then the pass is sharded or scanned by
+        :func:`repro.columnar.perunit.count_candidates_per_unit`.
         """
-        n = self.n_units
-        results: Dict[Itemset, np.ndarray] = {
-            c: np.zeros(n, dtype=np.int64) for c in candidates
-        }
         if not candidates:
-            return results
+            return {}
+        backend = resolve_backend(counting)
+        matrix: Optional[np.ndarray] = None
         if executor is not None:
             matrix = executor.count_candidates(
                 self.encoded,
                 self._bounds,
                 candidates,
-                counting,
+                backend.name,
+                unit_mask=unit_mask,
                 candidate_masks=candidate_masks,
                 monitor=monitor,
             )
-            if matrix is not None:
-                for row, candidate in enumerate(candidates):
-                    results[candidate] = matrix[row]
-                return results
-        k = len(candidates[0])
-        for offset in range(n):
-            if monitor is not None:
-                monitor.tick_granule(offset)
-            active = [
-                candidate
-                for row, candidate in enumerate(candidates)
-                if candidate_masks[row, offset]
-            ]
-            if not active or not self.unit_sizes[offset]:
-                continue
-            backend = resolve_backend(counting, len(active), k)
-            counted = backend.count_pass(
-                active, self.unit_segment(offset), monitor=monitor
+        if matrix is None:
+            matrix = count_candidates_per_unit(
+                self.encoded,
+                self._bounds,
+                candidates,
+                backend,
+                unit_mask=unit_mask,
+                candidate_masks=candidate_masks,
+                monitor=monitor,
+                segments=self._segments,
             )
-            for itemset, count in counted.items():
-                if count:
-                    results[itemset][offset] = count
-        return results
+        return {candidate: matrix[row] for row, candidate in enumerate(candidates)}
 
     def local_min_counts(self, min_support: float) -> np.ndarray:
         """Per-unit absolute thresholds implementing relative min-support.
 
-        Empty units get threshold 1 (unsatisfiable), so nothing is
-        locally frequent in them.
+        Elementwise :func:`repro.core.apriori._min_count` of the unit
+        sizes.  Empty units get threshold 1 (unsatisfiable), so nothing
+        is locally frequent in them.
         """
-        thresholds = np.array(
-            [
-                _min_count(min_support, int(size)) if size else 1
-                for size in self.unit_sizes
-            ],
-            dtype=np.int64,
-        )
-        return thresholds
+        exact = min_support * self.unit_sizes
+        return np.maximum(np.ceil(exact - 1e-9), 1).astype(np.int64)
 
 
 @dataclass
@@ -295,11 +239,16 @@ class PerUnitCounts:
         context: the temporal context counted against.
         counts: itemset → int64 array of per-unit absolute supports.
         min_support: the local (per-unit) relative support threshold used.
+        thresholds: ``min_support`` as per-unit absolute counts.
     """
 
     context: TemporalContext
     counts: Dict[Itemset, np.ndarray]
     min_support: float
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.thresholds = self.context.local_min_counts(self.min_support)
 
     def support_array(self, itemset: Itemset) -> np.ndarray:
         """Per-unit counts for ``itemset`` (zeros when never retained)."""
@@ -310,8 +259,7 @@ class PerUnitCounts:
 
     def locally_frequent_mask(self, itemset: Itemset) -> np.ndarray:
         """Boolean per-unit mask: locally frequent at ``min_support``."""
-        thresholds = self.context.local_min_counts(self.min_support)
-        return self.support_array(itemset) >= thresholds
+        return self.support_array(itemset) >= self.thresholds
 
     def __len__(self) -> int:
         return len(self.counts)

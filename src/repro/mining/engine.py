@@ -20,7 +20,7 @@ import os
 import warnings
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.columnar.backends import available_backends
+from repro.columnar.backends import validate_backend_name
 from repro.core.apriori import AprioriOptions
 from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
@@ -268,12 +268,7 @@ class TemporalMiner:
         :class:`~repro.errors.MiningParameterError` otherwise.  Cached
         contexts survive — the partitioning is backend-independent.
         """
-        if counting != "auto" and counting not in available_backends():
-            known = ", ".join(["auto"] + available_backends())
-            raise MiningParameterError(
-                f"unknown counting backend {counting!r}; available: {known}"
-            )
-        self.counting = counting
+        self.counting = validate_backend_name(counting)
 
     def set_incremental(self, mode: str) -> None:
         """Select the incremental-maintenance mode for subsequent runs.
@@ -422,11 +417,10 @@ class TemporalMiner:
         decided by the cost model.  ``EXPLAIN`` calls this without
         mining.
         """
-        pin_backend = None if self.counting == "auto" else self.counting
         return plan_query(
             self.stats(),
             _shape_of(task, interleaved=interleaved, cacheable=cacheable),
-            pin_backend=pin_backend,
+            pin_backend=self.counting,
             pin_workers=self.workers,
             metrics=self.metrics,
         )

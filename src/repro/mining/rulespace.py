@@ -91,8 +91,7 @@ def rule_series(
     """
     itemset_counts = counts.support_array(key.itemset)
     antecedent_counts = counts.support_array(key.antecedent)
-    thresholds = counts.context.local_min_counts(counts.min_support)
-    support_ok = itemset_counts >= thresholds
+    support_ok = itemset_counts >= counts.thresholds
     with np.errstate(divide="ignore", invalid="ignore"):
         confidence = np.where(
             antecedent_counts > 0,

@@ -13,22 +13,28 @@ travel through task pickles:
   snapshot once per worker process; per-task payloads are identical.
 
 Workers cache the per-unit :class:`~repro.columnar.encoded.EncodedSegment`
-views they build, so the vertical backend's bitmap indexes are
-constructed once per (worker, unit) and reused by every Apriori pass —
-the same reuse the serial :class:`~repro.mining.context.TemporalContext`
-gets from its segment cache.
+views they build, so the bitmap backends' indexes are constructed once
+per (worker, unit) and reused by every Apriori pass — the same reuse the
+serial :class:`~repro.mining.context.TemporalContext` gets from its
+segment cache.  The counting itself is the shared per-unit code in
+:mod:`repro.columnar.perunit`, run over the shard's slice of the bounds.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar.backends import resolve_backend
-from repro.columnar.encoded import EncodedDatabase, EncodedSegment
+from repro.columnar.backends import get_backend
+from repro.columnar.encoded import EncodedDatabase
+from repro.columnar.perunit import (
+    SegmentCache,
+    count_candidates_per_unit,
+    count_items_per_unit,
+)
 from repro.core.items import Itemset
 
 #: Injected worker failure modes (see WorkerFaultPlan in runtime.faultinject).
@@ -39,9 +45,9 @@ FAULT_KILL = "kill"
 #: the pool forks (children inherit it) or via the spawn initializer.
 _REGISTRY: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
 
-#: Worker-local caches, keyed by registry token / position range.
+#: Worker-local caches, keyed by registry token.
 _VIEWS: Dict[str, EncodedDatabase] = {}
-_SEGMENTS: Dict[Tuple[str, int, int], EncodedSegment] = {}
+_SEGMENTS: Dict[str, SegmentCache] = {}
 
 
 def register_encoded(
@@ -113,33 +119,10 @@ def _view(token: str) -> EncodedDatabase:
     return view
 
 
-def _segment(token: str, lo: int, hi: int) -> EncodedSegment:
-    key = (token, lo, hi)
-    segment = _SEGMENTS.get(key)
-    if segment is None:
-        segment = _view(token).segment(lo, hi)
-        _SEGMENTS[key] = segment
-    return segment
-
-
-def _unit_positions(task: ShardTask, offset: int) -> Tuple[int, int]:
-    return int(task.unit_bounds[offset]), int(task.unit_bounds[offset + 1])
-
-
 def count_items_shard(task: ShardTask) -> np.ndarray:
     """Per-unit item supports of one shard: an (n_items, n_units) matrix."""
     _maybe_fault(task)
-    view = _view(task.token)
-    n_units = len(task.unit_bounds) - 1
-    matrix = np.zeros((view.n_items, n_units), dtype=np.int64)
-    ids = view.item_ids
-    offsets = view.offsets
-    for offset in range(n_units):
-        lo, hi = _unit_positions(task, offset)
-        if hi > lo:
-            unit_ids = ids[offsets[lo] : offsets[hi]]
-            matrix[:, offset] = np.bincount(unit_ids, minlength=view.n_items)
-    return matrix
+    return count_items_per_unit(_view(task.token), task.unit_bounds)
 
 
 def count_candidates_shard(
@@ -151,41 +134,18 @@ def count_candidates_shard(
 ) -> np.ndarray:
     """Per-unit candidate supports of one shard.
 
-    Returns an ``(n_candidates, n_units)`` count matrix whose rows align
-    with ``candidates``.  ``unit_mask`` skips whole units (cycle
-    skipping's coarse form); ``candidate_masks`` — a boolean
-    ``(n_candidates, n_units)`` matrix — restricts each candidate to its
-    own live units (the interleaved algorithm's fine form), mirroring
-    the serial loops exactly so merged counts are bit-identical.
+    Returns the ``(n_candidates, n_units)`` matrix of
+    :func:`repro.columnar.perunit.count_candidates_per_unit` over the
+    shard's slice of the unit bounds (and of either mask).  ``counting``
+    is the backend name the parent already resolved for this pass.
     """
     _maybe_fault(task)
-    n_units = len(task.unit_bounds) - 1
-    matrix = np.zeros((len(candidates), n_units), dtype=np.int64)
-    if not candidates:
-        return matrix
-    k = len(candidates[0])
-    row_of = {candidate: row for row, candidate in enumerate(candidates)}
-    backend = resolve_backend(counting, len(candidates), k)
-    for offset in range(n_units):
-        if unit_mask is not None and not unit_mask[offset]:
-            continue
-        lo, hi = _unit_positions(task, offset)
-        if hi <= lo:
-            continue
-        if candidate_masks is None:
-            active: Sequence[Itemset] = candidates
-            unit_backend = backend
-        else:
-            active = [
-                candidate
-                for row, candidate in enumerate(candidates)
-                if candidate_masks[row, offset]
-            ]
-            if not active:
-                continue
-            unit_backend = resolve_backend(counting, len(active), k)
-        counted = unit_backend.count_pass(active, _segment(task.token, lo, hi))
-        for itemset, count in counted.items():
-            if count:
-                matrix[row_of[itemset], offset] = count
-    return matrix
+    return count_candidates_per_unit(
+        _view(task.token),
+        task.unit_bounds,
+        candidates,
+        get_backend(counting),
+        unit_mask=unit_mask,
+        candidate_masks=candidate_masks,
+        segments=_SEGMENTS.setdefault(task.token, {}),
+    )

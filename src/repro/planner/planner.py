@@ -25,7 +25,7 @@ import os
 import warnings
 from typing import Dict, Optional
 
-from repro.columnar.backends import available_backends
+from repro.columnar.backends import validate_backend_name
 from repro.errors import MiningParameterError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.planner.cost import (
@@ -70,18 +70,17 @@ def _plan_cpu_count() -> int:
 def _env_backend_pin() -> Optional[str]:
     """Backend pinned via ``REPRO_PLAN``, or ``None`` for auto."""
     raw = os.environ.get(PLAN_ENV)
-    if raw is None or raw.strip().lower() in ("", "auto"):
+    name = (raw or "").strip().lower() or "auto"
+    try:
+        validate_backend_name(name)
+    except MiningParameterError as error:
+        warnings.warn(
+            f"ignoring malformed {PLAN_ENV}={raw!r} ({error})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return None
-    name = raw.strip().lower()
-    if name in available_backends():
-        return name
-    warnings.warn(
-        f"ignoring malformed {PLAN_ENV}={raw!r} "
-        f"(want 'auto' or one of: {', '.join(available_backends())})",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return None
+    return None if name == "auto" else name
 
 
 def record_observed(
@@ -156,22 +155,19 @@ def plan_query(
 
     ``source`` is anything :func:`repro.planner.stats.compute_stats`
     accepts.  ``pin_backend``/``pin_workers`` come from explicit ``SET``
-    statements or miner arguments; ``None`` means AUTO.
+    statements or miner arguments; ``None`` (or ``"auto"``) means AUTO.
     """
     registry = metrics if metrics is not None else default_registry()
     stats = compute_stats(source)
     reasons = []
 
+    if pin_backend is not None and validate_backend_name(pin_backend) == "auto":
+        pin_backend = None
     if pin_backend is None:
         env_pin = _env_backend_pin()
         if env_pin is not None:
             pin_backend = env_pin
             reasons.append(f"backend pinned by {PLAN_ENV}={env_pin}")
-    if pin_backend is not None and pin_backend not in available_backends():
-        known = ", ".join(available_backends())
-        raise MiningParameterError(
-            f"unknown counting backend {pin_backend!r}; available: {known}"
-        )
 
     costs = backend_costs(stats, shape, calibration_factors(registry))
     by_name = {cost.backend: cost for cost in costs}

@@ -125,7 +125,7 @@ class IqmsSession:
 
     @property
     def engine(self) -> str:
-        """The counting backend used by mining runs (``"auto"`` = heuristic)."""
+        """The counting backend used by mining runs (``"auto"`` = the packed kernel)."""
         return self.environment.engine
 
     def set_engine(self, engine: str) -> None:

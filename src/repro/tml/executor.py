@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, Optional, Union
 
-from repro.columnar.backends import available_backends
+from repro.columnar.backends import validate_backend_name
 from repro.core.transactions import TransactionDatabase
 from repro.db.query import (
     QueryResult,
@@ -30,7 +30,7 @@ from repro.db.query import (
     volume_by_unit,
 )
 from repro.db.sqlite_store import SqliteStore
-from repro.errors import TmlExecutionError
+from repro.errors import MiningParameterError, TmlExecutionError
 from repro.mining.engine import (
     TemporalMiner,
     _incremental_from_env,
@@ -164,12 +164,10 @@ class ExecutionEnvironment:
         against the backend registry and updates cached miners in place
         (their partitioning caches survive — backends share the layout).
         """
-        if engine != "auto" and engine not in available_backends():
-            known = ", ".join(["auto"] + available_backends())
-            raise TmlExecutionError(
-                f"unknown counting engine {engine!r}; available: {known}"
-            )
-        self.engine = engine
+        try:
+            self.engine = validate_backend_name(engine)
+        except MiningParameterError as error:
+            raise TmlExecutionError(str(error)) from None
         for miner in self._miners.values():
             miner.set_counting(engine)
 

@@ -53,8 +53,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from repro.columnar.backends import available_backends
-from repro.errors import TmlParseError
+from repro.columnar.backends import validate_backend_name
+from repro.errors import MiningParameterError, TmlParseError
 from repro.temporal.granularity import Granularity
 from repro.tml.ast import (
     CalendarComboFeature,
@@ -312,15 +312,10 @@ class _Parser:
             self._finish()
             return SetEngineStatement(off=True)
         token = self._expect(TokenType.IDENT, "a counting engine name or AUTO")
-        name = token.value.lower()
-        if name != "auto" and name not in available_backends():
-            choices = ", ".join(["AUTO"] + available_backends())
-            raise TmlParseError(
-                f"unknown counting engine {token.value!r}; "
-                f"valid choices: {choices}",
-                token.line,
-                token.column,
-            )
+        try:
+            name = validate_backend_name(token.value.lower())
+        except MiningParameterError as error:
+            raise TmlParseError(str(error), token.line, token.column) from None
         self._finish()
         return SetEngineStatement(engine=name)
 

@@ -11,12 +11,24 @@ from repro.columnar.backends import (
     get_backend,
     register_backend,
     resolve_backend,
+    validate_backend_name,
 )
 from repro.columnar.encoded import EncodedDatabase
 from repro.core import TransactionDatabase
 from repro.core.items import Itemset
 from repro.errors import MiningParameterError
+from repro.mining import (
+    ConstrainedTask,
+    PeriodicityTask,
+    RuleThresholds,
+    TemporalMiner,
+    ValidPeriodTask,
+)
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.budget import CancellationToken, RunInterrupted, RunMonitor
+from repro.temporal import Granularity, TimeInterval
+
+from tests.golden.test_golden_mining import canonical_basket_db, canonical_quest_db
 
 BASKETS = [
     (0, 1, 2),
@@ -76,12 +88,38 @@ def test_count_pass_empty_segment(name):
     assert counted == {candidate: 0 for candidate in CANDIDATES}
 
 
-def test_resolve_backend_auto_small_pass_is_dict():
-    assert resolve_backend("auto", n_candidates=10, k=2).name == "dict"
+def test_resolve_backend_auto_is_packed_for_any_pass():
+    assert resolve_backend("auto") is get_backend("packed")
+    for n_candidates in (0, 10, 4096, 100_000):
+        for k in (0, 2, 3, 4, 9):
+            assert resolve_backend("auto", n_candidates, k).name == "packed"
 
 
-def test_resolve_backend_auto_large_deep_pass_is_hashtree():
-    assert resolve_backend("auto", n_candidates=10_000, k=4).name == "hashtree"
+@pytest.mark.parametrize("build", [canonical_basket_db, canonical_quest_db])
+def test_resolve_backend_auto_is_what_the_planner_picks(build, monkeypatch):
+    monkeypatch.delenv("REPRO_PLAN", raising=False)
+    database = build()
+    start, _ = database.time_span()
+    thresholds = RuleThresholds(min_support=0.3, min_confidence=0.6)
+    tasks = [
+        ValidPeriodTask(granularity=Granularity.DAY, thresholds=thresholds),
+        PeriodicityTask(granularity=Granularity.DAY, thresholds=thresholds),
+        ConstrainedTask(
+            feature=TimeInterval(start, start + timedelta(days=7)),
+            thresholds=thresholds,
+        ),
+    ]
+    # A private registry: no calibration history from other tests.
+    miner = TemporalMiner(database, metrics=MetricsRegistry())
+    for task in tasks:
+        assert resolve_backend("auto").name == miner.plan_for(task).backend
+
+
+def test_validate_backend_name_lists_auto_and_every_backend():
+    assert validate_backend_name("auto") == "auto"
+    assert validate_backend_name("hashtree") == "hashtree"
+    with pytest.raises(MiningParameterError, match="available: auto, dict"):
+        validate_backend_name("btree")
 
 
 def test_resolve_backend_explicit_name_wins():

@@ -1,11 +1,10 @@
 """Unit tests for counting strategies: dict vs hash tree agreement."""
 
 import random
-from itertools import combinations
 
 import pytest
 
-from repro.core.counting import DictCounter, HashTreeCounter, make_counter
+from repro.core.counting import DictCounter, HashTreeCounter
 from repro.core.items import Itemset
 
 
@@ -50,29 +49,3 @@ class TestStrategyAgreement:
             dict_counter.count_transaction(transaction)
             tree_counter.count_transaction(transaction)
         assert dict_counter.counts() == tree_counter.counts()
-
-
-class TestMakeCounter:
-    def test_explicit_dict(self):
-        assert isinstance(make_counter([Itemset([1, 2])], "dict"), DictCounter)
-
-    def test_explicit_hashtree(self):
-        assert isinstance(
-            make_counter([Itemset([1, 2])], "hashtree"), HashTreeCounter
-        )
-
-    def test_auto_small_uses_dict(self):
-        assert isinstance(make_counter([Itemset([1, 2])], "auto"), DictCounter)
-
-    def test_auto_pairs_always_dict(self):
-        # k=2 enumeration beats the hash tree no matter the candidate count
-        candidates = [Itemset(c) for c in combinations(range(120), 2)]  # 7140
-        assert isinstance(make_counter(candidates, "auto"), DictCounter)
-
-    def test_auto_deep_k_large_uses_hashtree(self):
-        candidates = [Itemset(c) for c in combinations(range(20), 4)]  # 4845
-        assert isinstance(make_counter(candidates, "auto"), HashTreeCounter)
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError):
-            make_counter([Itemset([1, 2])], "quantum")

@@ -5,11 +5,12 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from repro.core.apriori import apriori
+from repro.core.apriori import _min_count, apriori
 from repro.core.items import Itemset
 from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError, TransactionError
 from repro.mining.context import TemporalContext, per_unit_frequent_itemsets
+from repro.obs.metrics import MetricsRegistry, default_registry, set_default_registry
 from repro.temporal.granularity import Granularity, unit_index
 
 
@@ -77,12 +78,50 @@ class TestTemporalContext:
         counts = context.count_candidates_per_unit([candidate], unit_mask=mask)
         assert list(counts[candidate]) == [2, 0, 0]
 
+    def test_one_backend_dispatch_per_counting_pass(self, three_day_db):
+        """``resolve_backend`` runs per pass, not per time unit."""
+        context = TemporalContext(three_day_db, Granularity.DAY)
+        candidates = [Itemset([1, 2]), Itemset([2, 3])]
+        original = default_registry()
+        registry = set_default_registry(MetricsRegistry())
+        try:
+            context.count_candidates_per_unit(candidates)
+            context.count_candidates_masked(
+                candidates, np.ones((2, context.n_units), dtype=bool), counting="dict"
+            )
+        finally:
+            set_default_registry(original)
+        dispatched = registry.snapshot()["repro_counting_dispatch_total"]
+        assert dispatched == {"backend=packed": 1.0, "backend=dict": 1.0}
+
     def test_local_min_counts_empty_units_unsatisfiable(self, three_day_db):
         context = TemporalContext(three_day_db, Granularity.DAY)
         thresholds = context.local_min_counts(0.5)
         assert thresholds[1] == 1  # empty unit: count 0 < 1 always
         assert thresholds[0] == 2  # ceil(0.5 * 3)
         assert thresholds[2] == 1  # ceil(0.5 * 2)
+
+    @pytest.mark.parametrize("min_support", [0.001, 0.1, 0.3, 1 / 3, 0.5, 0.7, 1.0])
+    def test_local_min_counts_is_elementwise_min_count(self, min_support):
+        """The vectorized thresholds round exactly like ``_min_count``."""
+        db = TransactionDatabase()
+        base = datetime(2026, 5, 1)
+        # Unit sizes 1..12 with a gap (empty unit) after every third day;
+        # size 10 at 0.3 is the float case: 0.3 * 10 == 2.9999999999999996.
+        day = 0
+        for size in range(1, 13):
+            for minute in range(size):
+                db.add(base + timedelta(days=day, minutes=minute), [1])
+            day += 2 if size % 3 == 0 else 1
+        context = TemporalContext(db, Granularity.DAY)
+        assert 0 in context.unit_sizes and 10 in context.unit_sizes
+        expected = [
+            _min_count(min_support, int(size)) if size else 1
+            for size in context.unit_sizes
+        ]
+        thresholds = context.local_min_counts(min_support)
+        assert thresholds.dtype == np.int64
+        assert thresholds.tolist() == expected
 
 
 class TestPerUnitFrequentItemsets:

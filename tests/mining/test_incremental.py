@@ -1,14 +1,23 @@
-"""Unit tests for incremental valid-period maintenance."""
+"""Streaming appends through ``TemporalMiner.apply_append``.
+
+The delta-maintained miner (``incremental="on"``) must report, after
+every batch, exactly what the independent naive references in
+:mod:`repro.baselines` compute from scratch over the accumulated data.
+"""
 
 from datetime import datetime, timedelta
 
 import pytest
 
-from repro.baselines import sequential_valid_periods
+from repro.baselines import sequential_periodicities, sequential_valid_periods
 from repro.core.transactions import TransactionDatabase
-from repro.errors import MiningParameterError, TransactionError
-from repro.mining import RuleThresholds, ValidPeriodTask
-from repro.mining.incremental import IncrementalValidPeriodMiner
+from repro.errors import TransactionError
+from repro.mining import (
+    PeriodicityTask,
+    RuleThresholds,
+    TemporalMiner,
+    ValidPeriodTask,
+)
 from repro.temporal import Granularity
 
 
@@ -16,6 +25,14 @@ TASK = ValidPeriodTask(
     granularity=Granularity.DAY,
     thresholds=RuleThresholds(0.4, 0.7),
     min_coverage=2,
+    max_rule_size=2,
+)
+
+PERIODICITY_TASK = PeriodicityTask(
+    granularity=Granularity.DAY,
+    thresholds=RuleThresholds(0.35, 0.7),
+    max_period=8,
+    min_repetitions=4,
     max_rule_size=2,
 )
 
@@ -27,34 +44,90 @@ def summarize(report):
     }
 
 
-def feed(miner, db):
-    for transaction in db:
-        miner.append(
-            transaction.timestamp,
-            list(db.catalog.decode(transaction.items)),
-        )
+def cycles(report):
+    return {
+        (f.key, f.periodicity.period, f.periodicity.offset,
+         f.n_member_units, f.n_valid_units)
+        for f in report
+        if hasattr(f.periodicity, "period")
+    }
+
+
+def rows_of(transactions):
+    return [(t.timestamp, t.items.items) for t in transactions]
+
+
+def streaming_miner(seed_rows, mine, catalog=None):
+    """A delta-maintaining miner seeded with ``seed_rows`` and mined once,
+    so every later ``apply_append`` has per-unit state to splice into."""
+    database = TransactionDatabase(catalog=catalog)
+    for timestamp, items in seed_rows:
+        database.add(timestamp, items)
+    miner = TemporalMiner(database, incremental="on")
+    mine(miner)
+    return miner
+
+
+def stream(window, n_batches, mine, order=None):
+    """Stream ``window`` in ``n_batches`` appends, mining after each."""
+    rows = rows_of(window)
+    if order is not None:
+        rows = [rows[index] for index in order]
+    size = -(-len(rows) // n_batches)
+    miner = streaming_miner(rows[:size], mine, catalog=window.catalog)
+    for start in range(size, len(rows), size):
+        miner.apply_append(rows[start : start + size])
+        mine(miner)  # interleaved mining must not corrupt the delta state
+    return miner
+
+
+def two_item_days(base, days, per_day):
+    return [
+        (base + timedelta(days=day), ["a", "b"])
+        for day in days
+        for _ in range(per_day)
+    ]
 
 
 class TestValidation:
-    def test_rejects_gap_tolerance(self):
+    def test_accepts_gap_tolerance(self, periodic_data):
+        db = periodic_data.database
+        start, _ = db.time_span()
+        window = db.between(start, start + timedelta(days=30))
         task = ValidPeriodTask(
             granularity=Granularity.DAY,
             thresholds=RuleThresholds(0.4, 0.7),
             min_frequency=0.8,
+            min_coverage=2,
+            max_rule_size=2,
         )
-        with pytest.raises(MiningParameterError):
-            IncrementalValidPeriodMiner(task)
+        miner = stream(window, 3, lambda m: m.valid_periods(task))
+        reference = sequential_valid_periods(window, task)
+        assert summarize(miner.valid_periods(task)) == summarize(reference)
 
-    def test_rejects_out_of_order(self):
-        miner = IncrementalValidPeriodMiner(TASK)
-        miner.append(datetime(2026, 1, 2), ["a", "b"])
-        with pytest.raises(TransactionError):
-            miner.append(datetime(2026, 1, 1), ["a", "b"])
+    def test_accepts_out_of_order(self, periodic_data):
+        db = periodic_data.database
+        start, _ = db.time_span()
+        window = db.between(start, start + timedelta(days=30))
+        # Newest third first, then the oldest, then the middle: the last
+        # two batches backfill before / inside the existing span.
+        third = len(window) // 3
+        order = (
+            list(range(2 * third, len(window)))
+            + list(range(third))
+            + list(range(third, 2 * third))
+        )
+        miner = stream(window, 3, lambda m: m.valid_periods(TASK), order=order)
+        reference = sequential_valid_periods(window, TASK)
+        assert summarize(miner.valid_periods(TASK)) == summarize(reference)
 
     def test_rejects_bad_item(self):
-        miner = IncrementalValidPeriodMiner(TASK)
+        base = datetime(2026, 1, 1)
+        miner = streaming_miner(
+            two_item_days(base, range(2), 3), lambda m: m.valid_periods(TASK)
+        )
         with pytest.raises(TransactionError):
-            miner.append(datetime(2026, 1, 1), [2.5])
+            miner.apply_append([(base + timedelta(days=2), [2.5])])
 
 
 class TestEquivalenceWithBatch:
@@ -63,9 +136,8 @@ class TestEquivalenceWithBatch:
         # Keep it quick: first 40 days only.
         start, _ = db.time_span()
         window = db.between(start, start + timedelta(days=40))
-        miner = IncrementalValidPeriodMiner(TASK, catalog=window.catalog)
-        feed(miner, window)
-        incremental = miner.report()
+        miner = stream(window, 8, lambda m: m.valid_periods(TASK))
+        incremental = miner.valid_periods(TASK)
         reference = sequential_valid_periods(window, TASK)
         assert summarize(incremental) == summarize(reference)
         assert incremental.n_transactions == len(window)
@@ -74,146 +146,93 @@ class TestEquivalenceWithBatch:
         db = periodic_data.database
         start, _ = db.time_span()
         window = db.between(start, start + timedelta(days=20))
-        miner = IncrementalValidPeriodMiner(TASK, catalog=window.catalog)
-        feed(miner, window)
-        first = miner.report()
-        second = miner.report()
+        miner = stream(window, 2, lambda m: m.valid_periods(TASK))
+        first = miner.valid_periods(TASK)
+        second = miner.valid_periods(TASK)
         assert summarize(first) == summarize(second)
 
     def test_growth_in_batches_matches_one_shot(self, periodic_data):
         db = periodic_data.database
         start, _ = db.time_span()
         window = db.between(start, start + timedelta(days=30))
-        batched = IncrementalValidPeriodMiner(TASK, catalog=window.catalog)
-        transactions = list(window)
-        third = len(transactions) // 3
-        for chunk in (
-            transactions[:third],
-            transactions[third : 2 * third],
-            transactions[2 * third :],
-        ):
-            batched.append_batch(
-                (t.timestamp, list(window.catalog.decode(t.items))) for t in chunk
-            )
-            batched.report()  # interleaved reporting must not corrupt state
+        batched = stream(window, 3, lambda m: m.valid_periods(TASK))
         reference = sequential_valid_periods(window, TASK)
-        assert summarize(batched.report()) == summarize(reference)
+        assert summarize(batched.valid_periods(TASK)) == summarize(reference)
 
 
 class TestIncrementalBehaviour:
     def test_new_unit_extends_runs(self):
-        miner = IncrementalValidPeriodMiner(TASK)
         base = datetime(2026, 4, 6)
-        for day in range(2):
-            for _ in range(5):
-                miner.append(base + timedelta(days=day), ["a", "b"])
-        first = miner.report()
+        miner = streaming_miner(
+            two_item_days(base, range(2), 5), lambda m: m.valid_periods(TASK)
+        )
+        first = miner.valid_periods(TASK)
         assert len(first) == 2  # a=>b and b=>a over a 2-day run
         # A third day extends the same maximal period.
-        for _ in range(5):
-            miner.append(base + timedelta(days=2), ["a", "b"])
-        second = miner.report()
+        miner.apply_append(two_item_days(base, [2], 5))
+        second = miner.valid_periods(TASK)
         spans = {periods for _k, periods in summarize(second)}
         assert all(last - first_ == 2 for ((first_, last),) in spans)
 
     def test_only_dirty_units_recomputed(self):
-        miner = IncrementalValidPeriodMiner(TASK)
         base = datetime(2026, 4, 6)
-        for day in range(5):
-            for _ in range(4):
-                miner.append(base + timedelta(days=day), ["a", "b"])
-        miner.report()
+        miner = streaming_miner(
+            two_item_days(base, range(5), 4), lambda m: m.valid_periods(TASK)
+        )
         # Appending to a new day marks exactly one unit dirty.
-        miner.append(base + timedelta(days=5), ["a", "b"])
-        assert len(miner._dirty) == 1
-        refreshed = miner._refresh_dirty_units()
-        assert refreshed == 1
+        miner.apply_append(two_item_days(base, [5], 1))
+        decision = miner.refresh_for(Granularity.DAY)
+        assert (decision.strategy, decision.dirty_units) == ("delta", 1)
+        miner.valid_periods(TASK)
+        assert miner.refresh_for(Granularity.DAY).dirty_units == 0
 
     def test_empty_report(self):
-        miner = IncrementalValidPeriodMiner(TASK)
-        report = miner.report()
-        assert len(report) == 0
-        assert report.n_units == 0
+        base = datetime(2026, 4, 6)
+        # Every day a different pair: no rule holds two days running.
+        rows = [
+            (base + timedelta(days=day), [f"x{day}", f"y{day}"]) for day in range(4)
+        ]
+        miner = streaming_miner(rows[:2], lambda m: m.valid_periods(TASK))
+        assert len(miner.valid_periods(TASK)) == 0
+        assert miner.apply_append([]) == 0
+        miner.apply_append(rows[2:])
+        assert len(miner.valid_periods(TASK)) == 0
 
     def test_counts_properties(self):
-        miner = IncrementalValidPeriodMiner(TASK)
-        assert miner.n_transactions == 0
-        assert miner.n_units == 0
-        miner.append(datetime(2026, 4, 6), ["a", "b"])
-        miner.append(datetime(2026, 4, 9), ["a", "b"])
-        assert miner.n_transactions == 2
-        assert miner.n_units == 4  # spans 4 days including empty ones
+        miner = streaming_miner(
+            [(datetime(2026, 4, 6), ["a", "b"])], lambda m: m.valid_periods(TASK)
+        )
+        assert miner.apply_append([(datetime(2026, 4, 9), ["a", "b"])]) == 1
+        report = miner.valid_periods(TASK)
+        assert report.n_transactions == 2
+        assert report.n_units == 4  # spans 4 days including empty ones
 
 
 class TestIncrementalPeriodicities:
-    def test_requires_periodicity_task(self):
-        from repro.mining.incremental import IncrementalPeriodicityMiner
-
-        with pytest.raises(MiningParameterError):
-            IncrementalPeriodicityMiner(TASK)  # a ValidPeriodTask
-
     def test_matches_sequential(self, periodic_data):
-        from repro.baselines import sequential_periodicities
-        from repro.mining.incremental import IncrementalPeriodicityMiner
-        from repro.mining.tasks import PeriodicityTask
-
         db = periodic_data.database
         start, _ = db.time_span()
         window = db.between(start, start + timedelta(days=35))
-        task = PeriodicityTask(
-            granularity=Granularity.DAY,
-            thresholds=RuleThresholds(0.35, 0.7),
-            max_period=8,
-            min_repetitions=4,
-            max_rule_size=2,
-        )
-        miner = IncrementalPeriodicityMiner(task, catalog=window.catalog)
-        for transaction in window:
-            miner.append(
-                transaction.timestamp,
-                list(window.catalog.decode(transaction.items)),
-            )
-        incremental = miner.periodicity_report()
-        reference = sequential_periodicities(window, task)
-
-        def cycles(report):
-            return {
-                (f.key, f.periodicity.period, f.periodicity.offset,
-                 f.n_member_units, f.n_valid_units)
-                for f in report
-                if hasattr(f.periodicity, "period")
-            }
-
+        miner = stream(window, 7, lambda m: m.periodicities(PERIODICITY_TASK))
+        incremental = miner.periodicities(PERIODICITY_TASK)
+        reference = sequential_periodicities(window, PERIODICITY_TASK)
         assert cycles(incremental) == cycles(reference)
 
     def test_grows_with_stream(self, periodic_data):
-        from repro.mining.incremental import IncrementalPeriodicityMiner
-        from repro.mining.tasks import PeriodicityTask
-
         db = periodic_data.database
         start, _ = db.time_span()
-        task = PeriodicityTask(
-            granularity=Granularity.DAY,
-            thresholds=RuleThresholds(0.35, 0.7),
-            max_period=8,
-            min_repetitions=4,
-            max_rule_size=2,
-        )
-        miner = IncrementalPeriodicityMiner(task, catalog=db.catalog)
         # 28 days give a weekly cycle its four required repetitions.
         first_half = db.between(start, start + timedelta(days=28))
-        for transaction in first_half:
-            miner.append(
-                transaction.timestamp, list(db.catalog.decode(transaction.items))
-            )
-        early = miner.periodicity_report()
+        miner = streaming_miner(
+            rows_of(first_half),
+            lambda m: m.periodicities(PERIODICITY_TASK),
+            catalog=db.catalog,
+        )
+        early = miner.periodicities(PERIODICITY_TASK)
         second_half = db.between(
             start + timedelta(days=28), start + timedelta(days=56)
         )
-        for transaction in second_half:
-            miner.append(
-                transaction.timestamp, list(db.catalog.decode(transaction.items))
-            )
-        late = miner.periodicity_report()
+        miner.apply_append(rows_of(second_half))
+        late = miner.periodicities(PERIODICITY_TASK)
         assert late.n_units > early.n_units
         assert len(late) >= len(early) > 0

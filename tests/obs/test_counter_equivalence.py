@@ -5,8 +5,9 @@ The same task over the same data must flush identical
 a sharded process pool, and whichever counting backend does the work —
 the counters describe the *algorithm* (passes, candidates, granules,
 rules), not the machinery.  The dispatch counter
-(``repro_counting_dispatch_total``) is deliberately out of scope: it
-lands on each worker process's own default registry.
+(``repro_counting_dispatch_total``) is out of scope here: it counts
+passes by backend on the parent's default registry
+(``tests/mining/test_context.py`` pins one dispatch per pass).
 """
 
 import pytest

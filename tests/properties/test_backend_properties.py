@@ -1,10 +1,12 @@
 """Property tests: every counting backend is exchangeable for ``dict``.
 
 The backend registry's contract is that backend choice is purely a
-performance decision — all registered backends must produce bit-identical
-supports on any input.  These properties pin that against randomized
-databases featuring the awkward shapes: single-item baskets, duplicated
-baskets, and time gaps that create empty units.
+performance decision — all registered backends, and ``"auto"``, must
+produce bit-identical supports on any input.  These properties pin that
+against randomized databases featuring the awkward shapes: single-item
+baskets, duplicated baskets, and time gaps that create empty units; a
+differential over the function-level entry points pins ``"auto"`` to the
+``dict`` reference on the golden stores.
 """
 
 import random
@@ -12,6 +14,7 @@ from datetime import datetime, timedelta
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +25,26 @@ from repro.core.apriori import AprioriOptions, apriori
 from repro.core.counting import DictCounter
 from repro.core.items import Itemset
 from repro.core.transactions import TransactionDatabase
+from repro.mining import (
+    ConstrainedTask,
+    PeriodicityTask,
+    RuleThresholds,
+    ValidPeriodTask,
+    detect_trends,
+    discover_itemset_periods,
+    discover_periodicities,
+    mine_with_feature,
+)
 from repro.mining.context import TemporalContext, per_unit_frequent_itemsets
-from repro.temporal import Granularity
+from repro.temporal import Granularity, TimeInterval
+from repro.tml.executor import ExecutionEnvironment, TmlExecutor
+
+from tests.golden.test_golden_mining import canonical_basket_db, canonical_quest_db
 
 N_ITEMS = 8
+
+#: Every strategy name a caller can pass: the registry plus ``"auto"``.
+STRATEGIES = [*available_backends(), "auto"]
 
 
 @st.composite
@@ -69,7 +88,7 @@ def test_every_backend_matches_dict_counter(db, candidates):
     baskets = [t.items.items for t in db]
     reference = _dict_reference(candidates, baskets)
     segment = BasketSegment(baskets)
-    for name in available_backends():
+    for name in STRATEGIES:
         counted = get_backend(name).count_pass(candidates, segment)
         assert counted == reference, f"backend {name!r} disagrees"
 
@@ -79,7 +98,7 @@ def test_every_backend_matches_dict_counter(db, candidates):
 def test_apriori_identical_across_backends(db, min_support):
     reference = apriori(db, min_support, AprioriOptions(counting="dict")).as_dict()
     encoded = EncodedDatabase.from_database(db)
-    for name in available_backends():
+    for name in STRATEGIES:
         options = AprioriOptions(counting=name)
         assert apriori(db, min_support, options).as_dict() == reference
         assert apriori(encoded, min_support, options).as_dict() == reference
@@ -90,7 +109,7 @@ def test_apriori_identical_across_backends(db, min_support):
 def test_per_unit_counts_agree_across_backends(db, candidates):
     context = TemporalContext(db, Granularity.DAY)
     reference = context.count_candidates_per_unit(candidates, counting="dict")
-    for name in available_backends():
+    for name in STRATEGIES:
         counted = context.count_candidates_per_unit(candidates, counting=name)
         for candidate in candidates:
             assert np.array_equal(counted[candidate], reference[candidate]), (
@@ -103,7 +122,7 @@ def test_per_unit_counts_agree_across_backends(db, candidates):
 def test_per_unit_frequent_itemsets_backend_invariant(db, min_support):
     context = TemporalContext(db, Granularity.DAY)
     reference = per_unit_frequent_itemsets(context, min_support, counting="dict")
-    for name in available_backends():
+    for name in STRATEGIES:
         counts = per_unit_frequent_itemsets(context, min_support, counting=name)
         assert set(counts.counts) == set(reference.counts)
         for itemset, row in counts.counts.items():
@@ -120,3 +139,73 @@ def test_vertical_index_support_is_exact(db, candidates):
             1 for basket in baskets if set(candidate.items) <= set(basket)
         )
         assert index.support(candidate.items) == expected
+
+
+_THRESHOLDS = RuleThresholds(min_support=0.3, min_confidence=0.6)
+_PERIODS = ValidPeriodTask(granularity=Granularity.DAY, thresholds=_THRESHOLDS)
+_CYCLES = PeriodicityTask(
+    granularity=Granularity.DAY, thresholds=_THRESHOLDS, max_period=7, min_repetitions=2
+)
+
+
+def _first_week(db):
+    start, _ = db.time_span()
+    feature = TimeInterval(start, start + timedelta(days=7))
+    return ConstrainedTask(feature=feature, thresholds=_THRESHOLDS)
+
+
+def _per_unit(db, counting):
+    context = TemporalContext(db, Granularity.DAY)
+    counts = per_unit_frequent_itemsets(context, 0.3, counting=counting).counts
+    return {itemset: row.tolist() for itemset, row in counts.items()}
+
+
+def _tml(statement):
+    def run(db, counting):
+        # TML renders through the catalog, so every item needs a label.
+        labelled = TransactionDatabase()
+        for transaction in db:
+            labelled.add(transaction.timestamp, [f"i{item}" for item in transaction.items])
+        environment = ExecutionEnvironment()
+        environment.register("sales", labelled)
+        environment.set_engine(counting)
+        return TmlExecutor(environment).execute(statement).payload.results
+
+    return run
+
+
+#: name -> ``(database, counting) -> comparable result``.
+ENTRY_POINTS = {
+    "apriori": lambda db, counting: apriori(
+        db, 0.1, AprioriOptions(counting=counting)
+    ).as_dict(),
+    "per_unit_frequent_itemsets": _per_unit,
+    "discover_periodicities": lambda db, counting: discover_periodicities(
+        db, _CYCLES, counting=counting
+    ).results,
+    "mine_with_feature": lambda db, counting: mine_with_feature(
+        db, _first_week(db), counting=counting
+    ).results,
+    "discover_itemset_periods": lambda db, counting: discover_itemset_periods(
+        db, _PERIODS, counting=counting
+    ).results,
+    "detect_trends": lambda db, counting: detect_trends(
+        db, Granularity.DAY, 0.3, min_total_change=0.0, min_r_squared=0.0,
+        counting=counting,
+    ).results,
+    "MINE ITEMSETS": _tml(
+        "MINE ITEMSETS FROM sales AT GRANULARITY day WITH SUPPORT >= 0.3;"
+    ),
+    "MINE TRENDS": _tml(
+        "MINE TRENDS FROM sales AT GRANULARITY day WITH SUPPORT >= 0.3 "
+        "HAVING CHANGE >= 0, FIT >= 0;"
+    ),
+}
+
+
+@pytest.mark.parametrize("build", [canonical_basket_db, canonical_quest_db])
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+def test_auto_equals_dict_at_every_entry_point(entry_point, build):
+    db = build()
+    run = ENTRY_POINTS[entry_point]
+    assert run(db, "auto") == run(db, "dict")

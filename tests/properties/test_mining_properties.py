@@ -145,13 +145,13 @@ def test_all_engines_agree(db, min_support):
     assert partition(db, min_support, n_partitions=3).as_dict() == reference
 
 
-@given(small_databases())
+@given(small_databases(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=20, deadline=None)
-def test_incremental_equals_batch(db):
-    """Streaming a database through the incremental miner reproduces the
-    from-scratch sequential result."""
+def test_incremental_equals_batch(db, n_batches):
+    """Streaming a database through the delta-maintained miner reproduces
+    the from-scratch sequential result."""
     from repro.baselines import sequential_valid_periods
-    from repro.mining.incremental import IncrementalValidPeriodMiner
+    from repro.mining.engine import TemporalMiner
     from repro.mining.tasks import RuleThresholds, ValidPeriodTask
     from repro.temporal import Granularity
 
@@ -161,12 +161,19 @@ def test_incremental_equals_batch(db):
         min_coverage=1,
         max_rule_size=3,
     )
-    miner = IncrementalValidPeriodMiner(task, catalog=db.catalog)
-    for transaction in db:
-        miner.append(transaction.timestamp, list(transaction.items))
+    rows = [(t.timestamp, t.items.items) for t in db]
+    size = -(-len(rows) // n_batches)
+    seeded = TransactionDatabase(catalog=db.catalog)
+    for timestamp, items in rows[:size]:
+        seeded.add(timestamp, items)
+    miner = TemporalMiner(seeded, incremental="on")
+    report = miner.valid_periods(task)
+    for start in range(size, len(rows), size):
+        miner.apply_append(rows[start : start + size])
+        report = miner.valid_periods(task)
     incremental = {
         (r.key, tuple((p.first_unit, p.last_unit) for p in r.periods))
-        for r in miner.report()
+        for r in report
     }
     reference = {
         (r.key, tuple((p.first_unit, p.last_unit) for p in r.periods))

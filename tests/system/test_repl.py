@@ -52,7 +52,7 @@ class TestDotCommands:
 
     def test_engine_unknown_backend_reports_error(self):
         output = drive(".engine btree\n.quit\n")
-        assert "unknown counting engine" in output
+        assert "unknown counting backend" in output
 
     def test_engine_via_statement(self):
         session = IqmsSession()

@@ -79,12 +79,12 @@ class TestSetEngine:
         assert executor.environment.engine == "auto"
 
     def test_unknown_engine_rejected_at_parse_time(self, executor):
-        with pytest.raises(TmlParseError, match="unknown counting engine"):
+        with pytest.raises(TmlParseError, match="unknown counting backend"):
             executor.execute("SET ENGINE btree;")
         assert executor.environment.engine == "auto"
 
     def test_unknown_engine_error_names_valid_choices(self, executor):
-        with pytest.raises(TmlParseError, match="btree.*AUTO.*packed"):
+        with pytest.raises(TmlParseError, match="btree.*auto.*packed"):
             executor.execute("SET ENGINE btree;")
 
     def test_set_engine_auto_round_trips(self, executor):

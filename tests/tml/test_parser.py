@@ -263,7 +263,7 @@ class TestSetEngine:
             parse_statement("SET ENGINE btree;")
         message = str(excinfo.value)
         assert "'btree'" in message
-        assert "AUTO" in message
+        assert "auto" in message
         assert "packed" in message and "vertical" in message
 
     def test_render(self):
