@@ -1,7 +1,9 @@
 """The counting-backend registry: dict, hashtree, vertical and packed.
 
 A :class:`CountingBackend` counts one Apriori pass — all the same-size
-candidates against one transaction segment — and returns the support of
+candidates against one transaction segment (:meth:`~CountingBackend.count_pass`)
+or against every time unit of a partition at once
+(:meth:`~CountingBackend.count_units`) — and returns the support of
 every candidate.  The two classic horizontal strategies
 (:class:`~repro.core.counting.DictCounter` subset enumeration and the
 Agrawal–Srikant hash tree) walk basket tuples; the ``vertical`` backend
@@ -9,7 +11,10 @@ intersects the segment's per-item bitmaps instead
 (:class:`~repro.columnar.bitmaps.VerticalIndex`), which moves the hot
 path out of the interpreter entirely; ``packed`` intersects whole
 candidate blocks column-wise, removing even the per-prefix-group Python
-loop.
+loop.  Per unit, both bitmap backends run the same segmented kernel over
+one unit-aligned index (:class:`~repro.columnar.bitmaps.UnitIndex`);
+the horizontal backends loop over the units, which is what makes them
+the independent reference the property suite compares against.
 
 Every backend is registered by name, and this module is the one place
 that knows what ``"auto"`` means: the ``packed`` kernel
@@ -21,14 +26,19 @@ one is purely a performance decision.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.columnar.bitmaps import VerticalIndex
+import numpy as np
+
+from repro.columnar.bitmaps import VerticalIndex, candidate_ids
 from repro.core.counting import DictCounter, HashTreeCounter
 from repro.core.items import Item, Itemset
 from repro.errors import MiningParameterError
 from repro.obs.metrics import default_registry
 from repro.runtime.budget import RunMonitor
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.columnar.encoded import EncodedUnits
 
 #: Baskets counted between two monitor checkpoints (horizontal backends).
 _CHECK_STRIDE = 4096
@@ -92,6 +102,30 @@ class CountingBackend(abc.ABC):
         discards the incomplete pass, preserving exact-count semantics.
         """
 
+    def count_units(
+        self,
+        candidates: Sequence[Itemset],
+        units: "EncodedUnits",
+        live: Optional[np.ndarray] = None,
+        monitor: Optional[RunMonitor] = None,
+    ) -> np.ndarray:
+        """Support of every candidate within every unit of ``units``.
+
+        Returns an ``(n_candidates, n_units)`` int64 matrix whose rows
+        align with ``candidates``; units where the boolean ``live`` mask
+        is ``False`` are not scanned and stay zero.  This default is the
+        plain loop — one :meth:`count_pass` per non-empty live unit —
+        that the reference backends keep; the bitmap backends override
+        it with one segmented call for all units.
+        """
+        matrix = np.zeros((len(candidates), len(units)), dtype=np.int64)
+        for unit in range(len(units)) if live is None else np.flatnonzero(live):
+            segment = units.segment(int(unit))
+            if len(segment):
+                counted = self.count_pass(candidates, segment, monitor=monitor)
+                matrix[:, unit] = [counted[candidate] for candidate in candidates]
+        return matrix
+
 
 class _HorizontalBackend(CountingBackend):
     """Shared scan loop for the per-transaction counting strategies."""
@@ -132,11 +166,34 @@ class HashTreeBackend(_HorizontalBackend):
     counter_class = HashTreeCounter
 
 
-class VerticalBackend(CountingBackend):
+class _BitmapBackend(CountingBackend):
+    """Shared per-unit kernel of the bitmap backends.
+
+    ``vertical`` and ``packed`` differ in how they walk one segment's
+    candidates; across units there is one way to do it.
+    """
+
+    uses_vertical = True
+
+    def count_units(
+        self,
+        candidates: Sequence[Itemset],
+        units: "EncodedUnits",
+        live: Optional[np.ndarray] = None,
+        monitor: Optional[RunMonitor] = None,
+    ) -> np.ndarray:
+        index = units.index(live)
+        matrix = np.zeros((len(candidates), len(units)), dtype=np.int64)
+        index.count_into(
+            candidate_ids(candidates, index.n_item_rows), matrix, monitor=monitor
+        )
+        return matrix
+
+
+class VerticalBackend(_BitmapBackend):
     """Bitmap-intersection counting over the segment's vertical index."""
 
     name = "vertical"
-    uses_vertical = True
 
     def count_pass(
         self,
@@ -147,7 +204,7 @@ class VerticalBackend(CountingBackend):
         return segment.vertical().count_candidates(candidates, monitor=monitor)
 
 
-class PackedBackend(CountingBackend):
+class PackedBackend(_BitmapBackend):
     """Chunked-int popcount over whole candidate blocks.
 
     The planner's vectorized kernel: instead of walking shared-prefix
@@ -157,7 +214,6 @@ class PackedBackend(CountingBackend):
     """
 
     name = "packed"
-    uses_vertical = True
 
     def count_pass(
         self,

@@ -11,6 +11,13 @@ Bitmaps are stored as one 2-D matrix (``n_item_rows + 1`` rows by
 ``n_words`` columns); the extra final row is an all-zero sentinel that
 absorbs item ids outside the indexed universe, so a candidate mentioning
 an unseen item cleanly counts zero.
+
+Two indexes share that layout.  :class:`VerticalIndex` covers one
+transaction segment and answers "support in the segment".
+:class:`UnitIndex` covers a run of *time units*, every unit starting on
+a fresh word, and answers "support in every unit" for a whole pass of
+candidates in one segmented popcount — the kernel behind all per-unit
+counting.
 """
 
 from __future__ import annotations
@@ -29,29 +36,66 @@ _CANDIDATE_STRIDE = 4096
 #: working set to ``chunk * n_words * 8`` bytes per intersection level.
 _PACKED_CHUNK = 4096
 
+#: Bitmap bytes one candidate block of the segmented kernel may hold per
+#: intersection level.  The block's candidate count is derived from it
+#: and the index width (down to one candidate on an index wider than
+#: this), so the working set does not grow with the store.
+_BLOCK_BYTES = 256 * 1024
+
+#: Transactions whose occurrences the unit-aligned index inserts at a
+#: time; bounds the build's scratch arrays the same way.
+_SLAB_TRANSACTIONS = 4096
+
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-if not _HAS_BITWISE_COUNT:  # pragma: no cover - exercised only on numpy < 2
-    _POPCOUNT16 = np.array(
-        [bin(value).count("1") for value in range(1 << 16)], dtype=np.uint16
-    )
+#: Set bits of every 16-bit value: the popcount of numpy < 2.  Built by
+#: doubling — setting the next higher bit adds one to every count so far.
+_POPCOUNT16 = np.zeros(1, dtype=np.uint16)
+for _ in range(16):
+    _POPCOUNT16 = np.concatenate([_POPCOUNT16, _POPCOUNT16 + np.uint16(1)])
 
 
 def popcount_sum(words: np.ndarray) -> int:
     """Total number of set bits in a uint64 array (any shape)."""
     if _HAS_BITWISE_COUNT:
         return int(np.bitwise_count(words).sum())
-    contiguous = np.ascontiguousarray(words)  # pragma: no cover
-    return int(_POPCOUNT16[contiguous.view(np.uint16)].sum())  # pragma: no cover
+    contiguous = np.ascontiguousarray(words)
+    return int(_POPCOUNT16[contiguous.view(np.uint16)].sum())
 
 
 def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of a 2-D uint64 matrix (int64 vector)."""
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
-    contiguous = np.ascontiguousarray(matrix)  # pragma: no cover
-    halves = contiguous.view(np.uint16)  # pragma: no cover
-    return _POPCOUNT16[halves].sum(axis=-1, dtype=np.int64)  # pragma: no cover
+    halves = np.ascontiguousarray(matrix).view(np.uint16)
+    return _POPCOUNT16[halves].sum(axis=-1, dtype=np.int64)
+
+
+def popcount_words(matrix: np.ndarray) -> np.ndarray:
+    """Set-bit count of every word of a 2-D uint64 matrix (uint8, same shape)."""
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(matrix)
+    halves = np.ascontiguousarray(matrix).view(np.uint16)
+    return _POPCOUNT16[halves].reshape(*matrix.shape, 4).sum(axis=-1, dtype=np.uint8)
+
+
+def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(start, start + length)`` of every pair, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
+
+
+def candidate_ids(candidates: Sequence[Itemset], n_item_rows: int) -> np.ndarray:
+    """Same-size candidates as an ``(n, k)`` matrix of bitmap row numbers.
+
+    Item ids outside ``[0, n_item_rows)`` are mapped to the zero
+    sentinel row ``n_item_rows``.  Candidates of differing sizes raise
+    :class:`ValueError` (numpy refuses the ragged matrix).
+    """
+    ids = np.array([candidate.items for candidate in candidates], dtype=np.int64)
+    ids[(ids < 0) | (ids >= n_item_rows)] = n_item_rows
+    return ids
 
 
 class VerticalIndex:
@@ -223,15 +267,7 @@ class VerticalIndex:
                 for candidate in group:
                     result[candidate] = self.n_transactions
                 continue
-            ids = np.fromiter(
-                (
-                    item if 0 <= item < sentinel else sentinel
-                    for candidate in group
-                    for item in candidate.items
-                ),
-                dtype=np.int64,
-                count=len(group) * k,
-            ).reshape(len(group), k)
+            ids = candidate_ids(group, sentinel)
             for start in range(0, len(group), chunk):
                 if monitor is not None:
                     monitor.checkpoint()
@@ -248,4 +284,166 @@ class VerticalIndex:
         return (
             f"VerticalIndex(n_transactions={self.n_transactions}, "
             f"n_item_rows={self.n_item_rows}, n_words={self.n_words})"
+        )
+
+
+class UnitIndex:
+    """Per-item bitmaps over a run of time units, each unit word-aligned.
+
+    The concatenation of the :class:`VerticalIndex` matrices of the
+    indexed units: unit after unit along the word axis, every non-empty
+    unit starting on a fresh ``uint64`` word and empty (or not indexed)
+    units owning no words.  Because no word straddles two units, the
+    per-unit supports of a candidate are the popcount of its
+    intersected row reduced over each unit's run of words — no boundary
+    masking, and one vectorized call for all units at once.
+
+    Attributes:
+        columns: unit offsets (into the ``bounds`` it was built from) of
+            the indexed units, ascending.
+        sizes: transactions in each indexed unit.
+        word_starts: first word column of each indexed unit.
+    """
+
+    __slots__ = ("_matrix", "columns", "sizes", "word_starts", "n_words", "n_item_rows")
+
+    def __init__(self, matrix: np.ndarray, columns: np.ndarray, sizes: np.ndarray):
+        self._matrix = matrix
+        self.columns = columns
+        self.sizes = sizes
+        unit_words = (sizes + 63) >> 6
+        self.word_starts = np.cumsum(unit_words) - unit_words
+        self.n_words = matrix.shape[1]
+        self.n_item_rows = matrix.shape[0] - 1  # last row is the zero sentinel
+
+    @classmethod
+    def from_csr(
+        cls,
+        item_ids: np.ndarray,
+        offsets: np.ndarray,
+        bounds: np.ndarray,
+        n_item_rows: int,
+        live: Optional[np.ndarray] = None,
+    ) -> "UnitIndex":
+        """Index the units ``bounds`` cuts the CSR columns into.
+
+        Unit ``u`` is transaction positions ``bounds[u]:bounds[u + 1]``
+        (absolute, so a shard passes its slice of the boundary array
+        unchanged).  ``live`` (boolean, one per unit) restricts the
+        index to the units where it is ``True``; only those units'
+        transactions are read, so a sparse mask costs in proportion to
+        what it selects, not to the store.
+        """
+        sizes = np.diff(bounds)
+        keep = sizes > 0 if live is None else (sizes > 0) & live
+        columns = np.flatnonzero(keep)
+        sizes = sizes[columns]
+        firsts = bounds[columns]
+        n_words = int(((sizes + 63) >> 6).sum())
+        index = cls(
+            np.zeros((n_item_rows + 1, n_words), dtype=np.uint64), columns, sizes
+        )
+        # Whole units at a time, a slab of transactions per step, so the
+        # per-occurrence scratch stays small however large the store.
+        ends = np.cumsum(sizes)
+        start = 0
+        while start < len(sizes):
+            reach = ends[start] - sizes[start] + _SLAB_TRANSACTIONS
+            stop = max(start + 1, int(np.searchsorted(ends, reach, side="right")))
+            units = slice(start, stop)
+            index._insert(
+                item_ids, offsets, firsts[units], sizes[units], index.word_starts[units]
+            )
+            start = stop
+        return index
+
+    def _insert(
+        self,
+        item_ids: np.ndarray,
+        offsets: np.ndarray,
+        firsts: np.ndarray,
+        sizes: np.ndarray,
+        word_starts: np.ndarray,
+    ) -> None:
+        """Set the bits of the units starting at ``firsts`` (``sizes`` long)."""
+        local = ragged_arange(np.zeros_like(sizes), sizes)
+        positions = np.repeat(firsts, sizes) + local
+        words = np.repeat(word_starts, sizes) + (local >> 6)
+        bits = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+        starts = offsets[positions]
+        lengths = offsets[positions + 1] - starts
+        rows = item_ids[ragged_arange(starts, lengths)].astype(np.int64)
+        np.bitwise_or.at(
+            self._matrix, (rows, np.repeat(words, lengths)), np.repeat(bits, lengths)
+        )
+
+    def select(self, live: np.ndarray) -> "UnitIndex":
+        """This index restricted to the units where ``live`` holds.
+
+        The kept units' word columns, copied side by side: no
+        transaction is read again, so a masked pass over an index that
+        already exists costs a column gather, not a rebuild.
+        """
+        keep = live[self.columns]
+        if keep.all():
+            return self
+        words = ragged_arange(self.word_starts[keep], (self.sizes[keep] + 63) >> 6)
+        return UnitIndex(
+            np.take(self._matrix, words, axis=1), self.columns[keep], self.sizes[keep]
+        )
+
+    @property
+    def n_transactions(self) -> int:
+        """Transactions indexed."""
+        return int(self.sizes.sum())
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the bitmap matrix."""
+        return self._matrix.nbytes
+
+    def count_into(
+        self,
+        ids: np.ndarray,
+        out: np.ndarray,
+        monitor: Optional[RunMonitor] = None,
+    ) -> None:
+        """Per-unit supports of a pass of candidates, written into ``out``.
+
+        ``ids`` is the ``(n, k >= 1)`` row matrix of :func:`candidate_ids`;
+        ``out`` an ``(n, n_units)`` int64 matrix whose :attr:`columns`
+        receive the counts (every other column is left as it is).
+        Candidates are processed in blocks bounded by
+        :data:`_BLOCK_BYTES`: the block's item rows are AND-ed one
+        candidate column at a time, popcounted per word and summed per
+        unit (:func:`numpy.add.reduceat` over :attr:`word_starts`, which
+        are strictly increasing because empty units own no words).  A
+        monitored call checkpoints once per block and may raise
+        :class:`~repro.runtime.budget.RunInterrupted`.
+        """
+        if not self.n_words:
+            return
+        n, k = ids.shape
+        matrix = self._matrix
+        block = max(1, _BLOCK_BYTES // (self.n_words * 8))
+        for start in range(0, n, block):
+            if monitor is not None:
+                monitor.checkpoint()
+            rows = ids[start : start + block]
+            accumulator = matrix[rows[:, 0]]
+            for column in range(1, k):
+                accumulator &= matrix[rows[:, column]]
+            per_word = popcount_words(accumulator)
+            # Drop the block's bitmaps before the reduce allocates its
+            # int64 output; no word straddles two units, so each unit's
+            # support is the sum over its own run of words.
+            del accumulator
+            out[start : start + block, self.columns] = np.add.reduceat(
+                per_word, self.word_starts, axis=1, dtype=np.int64
+            )
+
+    def __repr__(self) -> str:
+        return (
+            f"UnitIndex(n_units={len(self.columns)}, "
+            f"n_transactions={self.n_transactions}, n_words={self.n_words})"
         )

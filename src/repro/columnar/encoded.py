@@ -7,7 +7,9 @@ parallel columns instead of Python objects:
   basket by basket, each basket sorted and deduplicated;
 * ``offsets`` — ``int64`` CSR offsets (``offsets[t]:offsets[t+1]`` is
   transaction ``t``'s slice of ``item_ids``);
-* ``tids`` / ``timestamps`` — per-transaction identifiers and instants.
+* ``tids`` / ``timestamps`` — per-transaction identifiers and instants;
+* ``stamps`` — the instants again as a ``datetime64[us]`` column, which
+  is what unit boundaries are computed from (no per-transaction Python).
 
 Transactions are ordered by (timestamp, tid), so any time range — in
 particular one granularity unit — is a contiguous position range, and
@@ -20,14 +22,15 @@ construction/IO boundary.
 from __future__ import annotations
 
 from datetime import datetime
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar.bitmaps import VerticalIndex
+from repro.columnar.bitmaps import UnitIndex, VerticalIndex
 from repro.core.items import Item, ItemCatalog
 from repro.errors import TransactionError
-from repro.temporal.granularity import Granularity, unit_index
+from repro.temporal.granularity import Granularity, stamp_column, unit_indices
 
 
 class EncodedDatabase:
@@ -38,6 +41,7 @@ class EncodedDatabase:
         "offsets",
         "tids",
         "timestamps",
+        "stamps",
         "catalog",
         "_n_items",
         "_stats",
@@ -50,11 +54,15 @@ class EncodedDatabase:
         tids: np.ndarray,
         timestamps: Tuple[datetime, ...],
         catalog: Optional[ItemCatalog] = None,
+        stamps: Optional[np.ndarray] = None,
     ):
         self.item_ids = item_ids
         self.offsets = offsets
         self.tids = tids
         self.timestamps = timestamps
+        #: ``timestamps`` as ``datetime64[us]``; derived here unless the
+        #: caller already holds the column (an append extends it).
+        self.stamps = stamps if stamps is not None else stamp_column(timestamps)
         self.catalog = catalog if catalog is not None else ItemCatalog()
         highest = int(item_ids.max()) + 1 if item_ids.size else 0
         self._n_items = max(highest, len(self.catalog))
@@ -79,11 +87,8 @@ class EncodedDatabase:
             tids.append(transaction.tid)
             stamps.append(transaction.timestamp)
             chunks.append(items)
-        total = sum(sizes)
         flat = np.fromiter(
-            (item for chunk in chunks for item in chunk),
-            dtype=np.int32,
-            count=total,
+            chain.from_iterable(chunks), dtype=np.int32, count=sum(sizes)
         )
         offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
@@ -124,9 +129,7 @@ class EncodedDatabase:
             stamps.append(stamp)
             chunks.append(unique)
         flat = np.fromiter(
-            (item for chunk in chunks for item in chunk),
-            dtype=np.int32,
-            count=sum(sizes),
+            chain.from_iterable(chunks), dtype=np.int32, count=sum(sizes)
         )
         offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
@@ -198,11 +201,7 @@ class EncodedDatabase:
 
     def unit_offsets(self, granularity: Granularity) -> np.ndarray:
         """Absolute unit index of every transaction (nondecreasing)."""
-        return np.fromiter(
-            (unit_index(stamp, granularity) for stamp in self.timestamps),
-            dtype=np.int64,
-            count=len(self),
-        )
+        return unit_indices(self.stamps, granularity)
 
     def unit_bounds(self, granularity: Granularity) -> Tuple[int, np.ndarray]:
         """Per-unit position boundaries at ``granularity``.
@@ -294,3 +293,61 @@ class EncodedSegment:
 
     def __repr__(self) -> str:
         return f"EncodedSegment(lo={self.lo}, hi={self.hi}, n={len(self)})"
+
+
+class EncodedUnits:
+    """An :class:`EncodedDatabase` cut into time units by a boundary array.
+
+    Unit ``u`` is the transaction positions ``bounds[u]:bounds[u + 1]``
+    (empty units included).  This is what a per-unit counting pass is
+    handed — the whole partition for a serial
+    :class:`~repro.mining.context.TemporalContext`, a slice of the
+    boundary array for a shard worker.  Like :class:`EncodedSegment` it
+    owns the lazily built, pass-invariant views of its data: the
+    unit-aligned bitmap index every bitmap pass intersects, and the
+    per-unit segments the reference backends scan.
+    """
+
+    __slots__ = ("encoded", "bounds", "_index", "_segments")
+
+    def __init__(self, encoded: EncodedDatabase, bounds: np.ndarray):
+        self.encoded = encoded
+        self.bounds = bounds
+        self._index: Optional[UnitIndex] = None
+        self._segments: Dict[int, EncodedSegment] = {}
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def segment(self, unit: int) -> EncodedSegment:
+        """The zero-copy segment of the unit at offset ``unit`` (cached)."""
+        segment = self._segments.get(unit)
+        if segment is None:
+            segment = self._segments[unit] = self.encoded.segment(
+                int(self.bounds[unit]), int(self.bounds[unit + 1])
+            )
+        return segment
+
+    def index(self, live: Optional[np.ndarray] = None) -> UnitIndex:
+        """The unit-aligned bitmap index of the units where ``live`` holds.
+
+        The index of *all* units is built once and kept: every unmasked
+        pass reuses it, and a mask that drops units selects its word
+        columns.  Only when no full index exists yet (the dirty recount
+        on a freshly rebased context) is a masked index built from the
+        CSR columns — from the live units' transactions alone, so its
+        cost follows the mask, not the store — and that one is not
+        retained.
+        """
+        encoded = self.encoded
+        columns = (encoded.item_ids, encoded.offsets, self.bounds, encoded.n_items)
+        if live is not None and not live.all():
+            if self._index is not None:
+                return self._index.select(live)
+            return UnitIndex.from_csr(*columns, live)
+        if self._index is None:
+            self._index = UnitIndex.from_csr(*columns)
+        return self._index
+
+    def __repr__(self) -> str:
+        return f"EncodedUnits(n_units={len(self)}, n={len(self.encoded)})"

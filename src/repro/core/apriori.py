@@ -240,9 +240,7 @@ def apriori(
         # reused by every later one; horizontal backends re-scan a
         # working basket list that transaction reduction may shrink.
         encoded = (
-            database
-            if isinstance(database, EncodedDatabase)
-            else EncodedDatabase.from_database(database)
+            database if isinstance(database, EncodedDatabase) else database.encoded()
         )
         whole = encoded.segment()
         reduced: Optional[List[Tuple[Item, ...]]] = None

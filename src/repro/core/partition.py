@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.columnar.backends import resolve_backend
-from repro.columnar.encoded import EncodedDatabase
 from repro.core.apriori import (
     AprioriOptions,
     FrequentItemsets,
@@ -90,7 +89,7 @@ def partition(
         by_size.setdefault(len(candidate), []).append(candidate)
 
     result: Dict[Itemset, int] = {}
-    segment = EncodedDatabase.from_database(database).segment()
+    segment = database.encoded().segment()
     for size in sorted(by_size):
         backend = resolve_backend(counting)
         for itemset, count in backend.count_pass(by_size[size], segment).items():

@@ -75,6 +75,9 @@ class TransactionDatabase:
         self._catalog = catalog if catalog is not None else ItemCatalog()
         self._sorted = True
         self._next_tid = 0
+        #: ``(len(catalog), columnar form)`` — see :meth:`encoded`; an
+        #: append drops it.
+        self._encoded_memo: Optional[Tuple[int, object]] = None
         if transactions is not None:
             for transaction in transactions:
                 self.append(transaction)
@@ -94,6 +97,7 @@ class TransactionDatabase:
             self._sorted = False
         self._transactions.append(transaction)
         self._next_tid = max(self._next_tid, transaction.tid + 1)
+        self._encoded_memo = None
 
     def add(
         self,
@@ -123,6 +127,25 @@ class TransactionDatabase:
     def extend(self, transactions: Iterable[Transaction]) -> None:
         for transaction in transactions:
             self.append(transaction)
+
+    def encoded(self):
+        """The columnar form of this database, encoded once per content.
+
+        Returns the :class:`~repro.columnar.encoded.EncodedDatabase` of
+        the current transactions, re-encoding only after an append or a
+        catalog growth (which widens the dense item universe).  The
+        result is shared between callers and must be treated as
+        immutable, like every encoded database.
+        """
+        from repro.columnar.encoded import EncodedDatabase
+
+        memo = self._encoded_memo
+        if memo is None or memo[0] != len(self._catalog):
+            memo = self._encoded_memo = (
+                len(self._catalog),
+                EncodedDatabase.from_database(self),
+            )
+        return memo[1]
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:

@@ -17,6 +17,10 @@ Staleness is tracked with *epochs* rather than a single dirty mask:
 * every cached row carries the epoch it was counted at; the row is
   stale exactly in the units where ``_unit_epochs > row_epoch``.
 
+The cached candidate rows live in one matrix (a candidate maps to its
+row number), so a recount splices whole blocks of rows and columns and
+an append realigns the cache with a single copy.
+
 Rows cached at different times therefore each see precisely their own
 stale set, and there is no "when do we clear the mask" problem — a
 recount simply commits the row at the current epoch.  Cache commits
@@ -32,7 +36,7 @@ counts and must never be committed.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,11 +79,7 @@ class IncrementalContext(TemporalContext):
         self.epoch = 0
         #: Epoch at which each unit last changed (0 = initial load).
         self._unit_epochs = np.zeros(self.n_units, dtype=np.int64)
-        #: Cached pass-1 matrix (n_items × n_units) and its commit epoch.
-        self._item_matrix: Optional[np.ndarray] = None
-        self._item_epoch = -1
-        #: Cached candidate rows: itemset -> (row, commit epoch).
-        self._rows: Dict[Itemset, Tuple[np.ndarray, int]] = {}
+        self.reset_cache()
 
     # ------------------------------------------------------------------
     # staleness accounting
@@ -116,12 +116,17 @@ class IncrementalContext(TemporalContext):
 
     def reset_cache(self) -> None:
         """Drop all cached rows — subsequent counting runs cold."""
-        self._item_matrix = None
+        #: Cached pass-1 matrix (n_items × n_units) and its commit epoch.
+        self._item_matrix: Optional[np.ndarray] = None
         self._item_epoch = -1
-        self._rows.clear()
+        #: Cached candidate rows: itemset -> row of ``_cache``, whose
+        #: commit epoch is the same row of ``_row_epochs``.
+        self._slots: Dict[Itemset, int] = {}
+        self._cache = np.zeros((0, self.n_units), dtype=np.int64)
+        self._row_epochs = np.zeros(0, dtype=np.int64)
 
     def cached_row_count(self) -> int:
-        return len(self._rows)
+        return len(self._slots)
 
     # ------------------------------------------------------------------
     # metrics
@@ -164,9 +169,7 @@ class IncrementalContext(TemporalContext):
         # unit served from cache is still covered by this pass, and the
         # run report (granules, budget charge, chaos hook) must match a
         # cold run granule for granule.
-        recounted = count_items_per_unit(
-            self.encoded, self._bounds, unit_mask=stale, monitor=monitor
-        )
+        recounted = count_items_per_unit(self.units, unit_mask=stale, monitor=monitor)
         if dirty:
             # Commit only after the full recount: RunInterrupted above
             # leaves the previous matrix (and its epoch) untouched.
@@ -196,61 +199,56 @@ class IncrementalContext(TemporalContext):
                 monitor=monitor,
                 executor=executor,
             )
-        results: Dict[Itemset, np.ndarray] = {}
-        fresh: list = []
-        by_epoch: Dict[int, list] = {}
-        for candidate in candidates:
-            entry = self._rows.get(candidate)
-            if entry is None:
-                fresh.append(candidate)
-            else:
-                by_epoch.setdefault(entry[1], []).append(candidate)
+        n = len(candidates)
+        slots = np.fromiter(
+            (self._slots.get(candidate, -1) for candidate in candidates),
+            dtype=np.int64,
+            count=n,
+        )
 
         # One pass over the candidate list ticks every unit exactly once,
-        # exactly like the base class's serial loop — cached units count
-        # as covered, and the budget/chaos seam fires per granule here
+        # exactly like the base class's pass — cached units count as
+        # covered, and the budget/chaos seam fires per granule here
         # rather than inside the (monitor-less) recount calls below, so
         # a warm run's report is granule-identical to a cold one.
         if monitor is not None:
-            for offset in range(self.n_units):
-                monitor.tick_granule(offset)
+            monitor.commit_granule_batch(range(self.n_units))
 
-        for row_epoch in sorted(by_epoch):
-            group = by_epoch[row_epoch]
-            stale = self.dirty_mask(row_epoch)
-            dirty = int(np.count_nonzero(stale))
-            if not dirty:
-                for candidate in group:
-                    results[candidate] = self._rows[candidate][0].copy()
+        cached = np.flatnonzero(slots >= 0)
+        commit_epochs = self._row_epochs[slots[cached]]
+        for row_epoch in np.unique(commit_epochs):
+            stale = self.dirty_mask(int(row_epoch))
+            if not stale.any():
                 continue
             started = perf_counter()
-            recounted = super().count_candidates_per_unit(
-                group,
-                unit_mask=stale,
-                counting=counting,
-                monitor=None,
-                executor=executor,
+            members = cached[commit_epochs == row_epoch]
+            recounted = self._count_matrix(
+                [candidates[row] for row in members], counting, executor, unit_mask=stale
             )
-            for candidate in group:
-                spliced = np.where(stale, recounted[candidate], self._rows[candidate][0])
-                self._rows[candidate] = (spliced, self.epoch)
-                results[candidate] = spliced.copy()
-            self._record_delta(dirty, perf_counter() - started)
+            self._cache[np.ix_(slots[members], np.flatnonzero(stale))] = recounted[:, stale]
+            self._row_epochs[slots[members]] = self.epoch
+            self._record_delta(int(np.count_nonzero(stale)), perf_counter() - started)
 
-        if fresh:
-            counted = super().count_candidates_per_unit(
-                fresh,
-                counting=counting,
-                monitor=None,
-                executor=executor,
+        fresh = np.flatnonzero(slots < 0)
+        if not fresh.size:
+            matrix = self._cache[slots]
+        else:
+            group = [candidates[row] for row in fresh]
+            counted = self._count_matrix(group, counting, executor)
+            if fresh.size == n:
+                matrix = counted
+            else:
+                matrix = self._cache[np.maximum(slots, 0)]
+                matrix[fresh] = counted
+            first = len(self._cache)
+            kept = group[: max(self.MAX_CACHED_ROWS - first, 0)]
+            for offset, candidate in enumerate(kept):
+                self._slots[candidate] = first + offset
+            self._cache = np.concatenate([self._cache, counted[: len(kept)]])
+            self._row_epochs = np.concatenate(
+                [self._row_epochs, np.full(len(kept), self.epoch, dtype=np.int64)]
             )
-            retain = len(self._rows) < self.MAX_CACHED_ROWS
-            for candidate in fresh:
-                row = counted[candidate]
-                if retain and len(self._rows) < self.MAX_CACHED_ROWS:
-                    self._rows[candidate] = (row.copy(), self.epoch)
-                results[candidate] = row
-        return results
+        return {candidate: matrix[row] for row, candidate in enumerate(candidates)}
 
     # ------------------------------------------------------------------
     # append protocol
@@ -293,8 +291,8 @@ class IncrementalContext(TemporalContext):
             matrix[: self._item_matrix.shape[0], shift : shift + n_old] = self._item_matrix
             clone._item_matrix = matrix
             clone._item_epoch = self._item_epoch
-        for candidate, (row, row_epoch) in self._rows.items():
-            wide = np.zeros(n_new, dtype=np.int64)
-            wide[shift : shift + n_old] = row
-            clone._rows[candidate] = (wide, row_epoch)
+        clone._slots = dict(self._slots)
+        clone._cache = np.zeros((len(self._cache), n_new), dtype=np.int64)
+        clone._cache[:, shift : shift + n_old] = self._cache
+        clone._row_epochs = self._row_epochs.copy()
         return clone

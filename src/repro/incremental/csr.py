@@ -30,7 +30,7 @@ import numpy as np
 from repro.columnar.encoded import EncodedDatabase
 from repro.core.items import Item, ItemCatalog
 from repro.errors import TransactionError
-from repro.temporal.granularity import Granularity, unit_index
+from repro.temporal.granularity import Granularity, stamp_column, unit_indices
 
 #: One appended transaction: ``(tid, timestamp, item_ids)``.
 AppendTriple = Tuple[int, datetime, Sequence[Item]]
@@ -55,7 +55,8 @@ class AppendResult:
 
     def touched_units(self, granularity: Granularity) -> FrozenSet[int]:
         """Absolute unit indices containing at least one new transaction."""
-        return frozenset(unit_index(stamp, granularity) for stamp in self.timestamps)
+        units = unit_indices(stamp_column(self.timestamps), granularity)
+        return frozenset(np.unique(units).tolist())
 
 
 def _normalize(batch: Sequence[AppendTriple]):
@@ -119,6 +120,7 @@ def append_encoded(
             tids,
             encoded.timestamps + new_stamps,
             catalog=catalog,
+            stamps=np.concatenate([encoded.stamps, stamp_column(new_stamps)]),
         )
         return AppendResult(
             encoded=merged, appended=len(entries), in_order=True, timestamps=new_stamps

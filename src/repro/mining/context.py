@@ -2,10 +2,10 @@
 
 All three temporal mining tasks view the database as a sequence of *time
 units* at a granularity.  :class:`TemporalContext` buckets the
-transactions per unit once, and counts candidate itemsets **per unit in a
-single scan** — the shared-counting optimization that the naive baseline
-(mine every unit independently, :mod:`repro.baselines.sequential`)
-forgoes.
+transactions per unit once, and counts a pass of candidate itemsets **in
+every unit with one call** over a unit-aligned bitmap index — the
+shared-counting optimization that the naive baseline (mine every unit
+independently, :mod:`repro.baselines.sequential`) forgoes.
 
 The level-wise :func:`per_unit_frequent_itemsets` is the temporal
 analogue of Apriori: an itemset is *locally frequent* in unit ``u`` when
@@ -24,12 +24,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.columnar.backends import resolve_backend
-from repro.columnar.encoded import EncodedDatabase, EncodedSegment
-from repro.columnar.perunit import (
-    SegmentCache,
-    count_candidates_per_unit,
-    count_items_per_unit,
-)
+from repro.columnar.encoded import EncodedDatabase, EncodedSegment, EncodedUnits
+from repro.columnar.perunit import count_candidates_per_unit, count_items_per_unit
 from repro.core.apriori import generate_candidates
 from repro.core.items import Item, Itemset
 from repro.core.transactions import TransactionDatabase
@@ -45,13 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class TemporalContext:
     """A transaction database partitioned into time units.
 
-    The database is encoded into the columnar CSR layout once
-    (:class:`~repro.columnar.encoded.EncodedDatabase`); because encoded
-    transactions are ordered by timestamp, every time unit is a
-    contiguous position range and partitioning reduces to computing the
-    per-unit boundary array — no per-unit copies.  Per-unit basket lists
-    and bitmap indexes are materialized lazily, only for the units (and
-    backends) that actually get counted.
+    The database's columnar CSR layout
+    (:class:`~repro.columnar.encoded.EncodedDatabase`, encoded once per
+    database and shared between contexts) is ordered by timestamp, so
+    every time unit is a contiguous position range and partitioning
+    reduces to computing the per-unit boundary array — no per-unit
+    copies.  The unit-aligned bitmap index the counting passes
+    intersect is built by the first pass that needs it and reused by
+    every later one; per-unit basket lists are materialized lazily,
+    only for the units a reference backend actually scans.
 
     Attributes:
         granularity: the unit granularity.
@@ -68,15 +66,13 @@ class TemporalContext:
             raise TransactionError("cannot build a temporal context over an empty database")
         self.database = database
         self.encoded = (
-            database
-            if isinstance(database, EncodedDatabase)
-            else EncodedDatabase.from_database(database)
+            database if isinstance(database, EncodedDatabase) else database.encoded()
         )
         self.granularity = granularity
         self.first_unit, self._bounds = self.encoded.unit_bounds(granularity)
         self.last_unit = self.first_unit + len(self._bounds) - 2
         self.unit_sizes = np.diff(self._bounds)
-        self._segments: SegmentCache = {}
+        self.units = EncodedUnits(self.encoded, self._bounds)
 
     @property
     def n_units(self) -> int:
@@ -90,11 +86,7 @@ class TemporalContext:
 
     def unit_segment(self, offset: int) -> EncodedSegment:
         """The zero-copy columnar segment of the unit at ``offset``."""
-        key = (int(self._bounds[offset]), int(self._bounds[offset + 1]))
-        segment = self._segments.get(key)
-        if segment is None:
-            segment = self._segments[key] = self.encoded.segment(*key)
-        return segment
+        return self.units.segment(offset)
 
     def baskets_in_unit(self, offset: int) -> Sequence[Tuple[Item, ...]]:
         """Baskets of the unit at relative ``offset`` (0-based)."""
@@ -137,7 +129,7 @@ class TemporalContext:
         if executor is not None:
             matrix = executor.count_items(self.encoded, self._bounds, monitor=monitor)
         if matrix is None:
-            matrix = count_items_per_unit(self.encoded, self._bounds, monitor=monitor)
+            matrix = count_items_per_unit(self.units, monitor=monitor)
         present = np.flatnonzero(matrix.any(axis=1))
         return {int(item): matrix[item] for item in present}
 
@@ -189,12 +181,35 @@ class TemporalContext:
         interleaved periodicity algorithm relies on (``None`` counts
         every candidate wherever ``unit_mask`` allows).
 
-        This is the one counting pass behind both public methods: the
-        backend is resolved once, then the pass is sharded or scanned by
-        :func:`repro.columnar.perunit.count_candidates_per_unit`.
+        This is the one counting pass behind both public methods; see
+        :meth:`_count_matrix` for how it is carried out.
         """
         if not candidates:
             return {}
+        matrix = self._count_matrix(
+            candidates,
+            counting,
+            executor,
+            unit_mask=unit_mask,
+            candidate_masks=candidate_masks,
+            monitor=monitor,
+        )
+        return {candidate: matrix[row] for row, candidate in enumerate(candidates)}
+
+    def _count_matrix(
+        self,
+        candidates: Sequence[Itemset],
+        counting: str,
+        executor: Optional["ShardedExecutor"],
+        unit_mask: Optional[np.ndarray] = None,
+        candidate_masks: Optional[np.ndarray] = None,
+        monitor: Optional[RunMonitor] = None,
+    ) -> np.ndarray:
+        """One counting pass as its ``(n_candidates, n_units)`` matrix.
+
+        The backend is resolved once, then the pass is sharded or counted
+        by :func:`repro.columnar.perunit.count_candidates_per_unit`.
+        """
         backend = resolve_backend(counting)
         matrix: Optional[np.ndarray] = None
         if executor is not None:
@@ -209,16 +224,14 @@ class TemporalContext:
             )
         if matrix is None:
             matrix = count_candidates_per_unit(
-                self.encoded,
-                self._bounds,
+                self.units,
                 candidates,
                 backend,
                 unit_mask=unit_mask,
                 candidate_masks=candidate_masks,
                 monitor=monitor,
-                segments=self._segments,
             )
-        return {candidate: matrix[row] for row, candidate in enumerate(candidates)}
+        return matrix
 
     def local_min_counts(self, min_support: float) -> np.ndarray:
         """Per-unit absolute thresholds implementing relative min-support.

@@ -48,7 +48,7 @@ from repro.planner import (
     stats_of_encoded,
 )
 from repro.runtime.budget import CancellationToken, RunBudget, RunMonitor
-from repro.temporal.granularity import Granularity, unit_index
+from repro.temporal.granularity import Granularity
 
 logger = get_logger(__name__)
 
@@ -341,11 +341,9 @@ class TemporalMiner:
                 del self._contexts[granularity]
                 continue
             result = append_encoded(context.encoded, triples)
-            touched = {
-                unit_index(transaction.timestamp, granularity)
-                for transaction in added
-            }
-            self._contexts[granularity] = context.rebased(result.encoded, touched)
+            self._contexts[granularity] = context.rebased(
+                result.encoded, result.touched_units(granularity)
+            )
         return len(added)
 
     def refresh_for(self, granularity: Granularity) -> Optional[RefreshDecision]:

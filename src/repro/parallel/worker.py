@@ -12,11 +12,11 @@ travel through task pickles:
 * On ``spawn``-only platforms, the pool initializer receives a registry
   snapshot once per worker process; per-task payloads are identical.
 
-Workers cache the per-unit :class:`~repro.columnar.encoded.EncodedSegment`
-views they build, so the bitmap backends' indexes are constructed once
-per (worker, unit) and reused by every Apriori pass — the same reuse the
-serial :class:`~repro.mining.context.TemporalContext` gets from its
-segment cache.  The counting itself is the shared per-unit code in
+Workers cache the :class:`~repro.columnar.encoded.EncodedUnits` of every
+shard they are handed, so a shard's unit-aligned bitmap index is built
+once per worker and reused by every Apriori pass — the same reuse the
+serial :class:`~repro.mining.context.TemporalContext` gets from its own
+partition.  The counting itself is the shared per-unit code in
 :mod:`repro.columnar.perunit`, run over the shard's slice of the bounds.
 """
 
@@ -29,12 +29,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnar.backends import get_backend
-from repro.columnar.encoded import EncodedDatabase
-from repro.columnar.perunit import (
-    SegmentCache,
-    count_candidates_per_unit,
-    count_items_per_unit,
-)
+from repro.columnar.encoded import EncodedDatabase, EncodedUnits
+from repro.columnar.perunit import count_candidates_per_unit, count_items_per_unit
 from repro.core.items import Itemset
 
 #: Injected worker failure modes (see WorkerFaultPlan in runtime.faultinject).
@@ -45,9 +41,10 @@ FAULT_KILL = "kill"
 #: the pool forks (children inherit it) or via the spawn initializer.
 _REGISTRY: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
 
-#: Worker-local caches, keyed by registry token.
+#: Worker-local caches: the view of each registered database, and the
+#: partition of each (database, shard boundary slice) counted so far.
 _VIEWS: Dict[str, EncodedDatabase] = {}
-_SEGMENTS: Dict[str, SegmentCache] = {}
+_UNITS: Dict[Tuple[str, bytes], EncodedUnits] = {}
 
 
 def register_encoded(
@@ -119,10 +116,18 @@ def _view(token: str) -> EncodedDatabase:
     return view
 
 
+def _units(task: ShardTask) -> EncodedUnits:
+    key = (task.token, task.unit_bounds.tobytes())
+    units = _UNITS.get(key)
+    if units is None:
+        units = _UNITS[key] = EncodedUnits(_view(task.token), task.unit_bounds)
+    return units
+
+
 def count_items_shard(task: ShardTask) -> np.ndarray:
     """Per-unit item supports of one shard: an (n_items, n_units) matrix."""
     _maybe_fault(task)
-    return count_items_per_unit(_view(task.token), task.unit_bounds)
+    return count_items_per_unit(_units(task))
 
 
 def count_candidates_shard(
@@ -141,11 +146,9 @@ def count_candidates_shard(
     """
     _maybe_fault(task)
     return count_candidates_per_unit(
-        _view(task.token),
-        task.unit_bounds,
+        _units(task),
         candidates,
         get_backend(counting),
         unit_mask=unit_mask,
         candidate_masks=candidate_masks,
-        segments=_SEGMENTS.setdefault(task.token, {}),
     )

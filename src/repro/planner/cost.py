@@ -4,21 +4,29 @@ Everything here is a *deterministic* function of :class:`StoreStats` and
 :class:`StatementShape` — the same stats and shape always produce the
 same estimates, which is what makes ``EXPLAIN`` output snapshotable.
 The absolute numbers are rough (constants were fitted against the
-``bench_e15``/``bench_e16`` measurements, not derived), but only the
+``python -m bench`` library workload, not derived), but only the
 *ordering* of backends and the serial-vs-parallel break-even matter for
 planning; observed-timing calibration (:mod:`repro.planner.planner`)
 corrects persistent model bias at runtime.
 
-The model follows the shape of the kernels:
+An estimate has two parts.  The *counting* cost follows the shape of
+the kernels:
 
 * the horizontal backends (``dict``, ``hashtree``) pay per transaction
-  and per enumerated subset;
-* ``vertical`` pays a bitmap-index build plus per-candidate word ANDs
-  plus a *per-prefix-group* Python overhead;
-* ``packed`` pays roughly double the word ANDs (it intersects all ``k``
-  columns instead of sharing a prefix accumulator) but no per-group
-  overhead — so it overtakes ``vertical`` exactly when passes carry
-  many fragmented candidate groups, i.e. large |D| and low minsup.
+  and per enumerated subset, once per time unit — they are counted by a
+  loop over the units;
+* the bitmap backends (``vertical``, ``packed``) count a per-unit
+  statement with one segmented call per pass over one unit-aligned
+  index, the same for both: an index build over the store's
+  occurrences, ``candidates x total words`` AND+popcount lanes, and a
+  per-pass floor.  Only on unitless statements (one Apriori over one
+  segment) do they differ: ``vertical`` pays a *per-prefix-group*
+  Python overhead, ``packed`` roughly double the word lanes.
+
+The *mining* cost is what every backend pays around the kernel —
+candidate generation, thresholding and rule evaluation, all Python —
+and is proportional to the locally frequent (itemset, unit) cells.  It
+does not shard, so only the counting part feeds the fan-out decision.
 
 Candidate volume is estimated from a Zipf-flavoured frequent-item count:
 under a 1/rank popularity law an item of rank *r* appears in about
@@ -43,8 +51,9 @@ _W_DICT = 150e-9  # one subset lookup in the candidate dict
 _W_HASH = 260e-9  # one hash-tree node visit per (transaction, item)
 _W_BUILD = 25e-9  # one occurrence inserted into the bitmap index
 _W_WORD = 1.2e-9  # one uint64 AND+popcount lane
-_W_CAND = 110e-9  # per-candidate Python (zip/dict store), both bitmap kernels
+_W_CAND = 110e-9  # per-candidate Python (zip/dict store), whole-segment bitmap kernels
 _W_GROUP = 5.0e-6  # per prefix-group Python overhead (vertical only)
+_W_CELL = 2.2e-6  # mining Python per locally frequent (itemset, unit) cell
 _PASS_FLOOR = 30e-6  # fixed per-pass dispatch overhead
 
 # Parallel execution overheads.
@@ -84,20 +93,31 @@ class WorkloadEstimate:
     est_frequent_items: int
     est_candidates: int  # total candidates across passes, per unit
     words_per_unit: float  # uint64 words per bitmap row
+    pass_candidates: int  # total candidates across passes, store-wide
 
 
 @dataclass(frozen=True)
 class BackendCost:
-    """One backend's estimated serial cost for the whole statement."""
+    """One backend's estimated serial cost for the whole statement.
+
+    ``seconds`` covers the statement end to end; ``counting_seconds`` is
+    the share of it spent in the counting kernel — the only part a
+    sharded run divides among workers.
+    """
 
     backend: str
     seconds: float
+    counting_seconds: float
     detail: str = ""
     calibration: float = field(default=1.0, compare=False)
 
     @property
     def calibrated_seconds(self) -> float:
         return self.seconds * self.calibration
+
+    @property
+    def calibrated_counting_seconds(self) -> float:
+        return self.counting_seconds * self.calibration
 
 
 def estimate_workload(stats: StoreStats, shape: StatementShape) -> WorkloadEstimate:
@@ -113,7 +133,22 @@ def estimate_workload(stats: StoreStats, shape: StatementShape) -> WorkloadEstim
     f1 = max(f1, 1.0)
     pairs = f1 * (f1 - 1.0) / 2.0
     # Pass 2 dominates; later passes decay as the lattice thins out.
-    candidates = f1 + pairs * (1.0 + 0.35 * max(shape.passes - 2, 0))
+    depth = 1.0 + 0.35 * max(shape.passes - 2, 0)
+    candidates = f1 + pairs * depth
+    # A store-wide pass carries every itemset that is locally frequent in
+    # *some* unit.  Over n_units draws around a mean unit count m, the
+    # largest reaches about m + sqrt(2 m ln n_units); the mean that just
+    # touches the per-unit threshold gives the store-wide support an item
+    # needs to enter the pass.
+    threshold = min_support * unit_tx
+    spread = 2.0 * math.log(n_units)
+    mean = ((math.sqrt(spread + 4.0 * threshold) - math.sqrt(spread)) / 2.0) ** 2
+    union_f1 = f1
+    if mean > 0.0:  # an empty store has no unit counts to spread
+        union_f1 = max(
+            f1, min(float(n_items), basket * unit_tx / (mean * harmonic) + 1.0)
+        )
+    pass_candidates = union_f1 + union_f1 * (union_f1 - 1.0) / 2.0 * depth
     return WorkloadEstimate(
         n_units=n_units,
         unit_transactions=unit_tx,
@@ -121,6 +156,7 @@ def estimate_workload(stats: StoreStats, shape: StatementShape) -> WorkloadEstim
         est_frequent_items=int(round(f1)),
         est_candidates=int(round(candidates)),
         words_per_unit=max(1.0, math.ceil(unit_tx / 64.0)),
+        pass_candidates=int(round(pass_candidates)),
     )
 
 
@@ -156,6 +192,26 @@ def _unit_cost(backend: str, load: WorkloadEstimate, shape: StatementShape) -> f
     raise ValueError(f"no cost model for backend {backend!r}")
 
 
+def _segmented_cost(
+    stats: StoreStats, load: WorkloadEstimate, shape: StatementShape
+) -> Tuple[float, str]:
+    """Serial seconds (and their breakdown) of the segmented bitmap kernel.
+
+    One call per pass counts every candidate in every unit, so nothing
+    here is multiplied by the unit count except the index width: each
+    non-empty unit starts on a fresh word.
+    """
+    total_words = load.n_units * load.words_per_unit
+    build = stats.n_occurrences * _W_BUILD
+    lanes = load.pass_candidates * total_words * _W_WORD
+    floor = shape.passes * _PASS_FLOOR
+    detail = (
+        f"index {build:.2e}s + {load.pass_candidates} candidates x "
+        f"{total_words:.0f} words {lanes:.2e}s + {shape.passes} passes {floor:.2e}s"
+    )
+    return build + lanes + floor, detail
+
+
 def backend_costs(
     stats: StoreStats,
     shape: StatementShape,
@@ -163,19 +219,24 @@ def backend_costs(
 ) -> Tuple[BackendCost, ...]:
     """Estimated serial cost of every modelled backend, model order."""
     load = estimate_workload(stats, shape)
+    # The Python around the kernel, the same whichever backend counts.
+    mining = load.est_candidates * load.n_units * _W_CELL
+    segmented = shape.granularity is not None
     results = []
     for backend in COSTED_BACKENDS:
-        seconds = load.n_units * _unit_cost(backend, load, shape)
-        factor = (calibrations or {}).get(backend, 1.0)
+        if segmented and backend in ("vertical", "packed"):
+            counting, detail = _segmented_cost(stats, load, shape)
+        else:
+            unit = _unit_cost(backend, load, shape)
+            counting = load.n_units * unit
+            detail = f"{load.n_units} units x {unit:.2e}s/unit"
         results.append(
             BackendCost(
                 backend=backend,
-                seconds=seconds,
-                detail=(
-                    f"{load.n_units} units x "
-                    f"{_unit_cost(backend, load, shape):.2e}s/unit"
-                ),
-                calibration=factor,
+                seconds=counting + mining,
+                counting_seconds=counting,
+                detail=f"{detail} + mining {mining:.2e}s",
+                calibration=(calibrations or {}).get(backend, 1.0),
             )
         )
     return tuple(results)

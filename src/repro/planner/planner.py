@@ -181,6 +181,8 @@ def plan_query(
 
     chosen = by_name.get(backend)
     serial_seconds = chosen.calibrated_seconds if chosen else 0.0
+    # Only the counting kernel shards; the mining around it stays serial.
+    counting_seconds = chosen.calibrated_counting_seconds if chosen else 0.0
 
     workload = estimate_workload(stats, shape)
     cpus = cpu_count if cpu_count is not None else _plan_cpu_count()
@@ -188,9 +190,13 @@ def plan_query(
         1, min(cpus, stats.n_transactions // 2048)
     )
     workers, n_shards = choose_workers(
-        serial_seconds, cpus, max_shards, pin=pin_workers
+        counting_seconds, cpus, max_shards, pin=pin_workers
     )
-    est_seconds = parallel_seconds(serial_seconds, workers, n_shards)
+    est_seconds = (
+        serial_seconds
+        - counting_seconds
+        + parallel_seconds(counting_seconds, workers, n_shards)
+    )
     if workers > 1 and pin_workers is None:
         reasons.append(
             f"fan-out over {workers} workers saves "

@@ -22,6 +22,7 @@ from repro.temporal.granularity import (
     unit_bounds,
     unit_end,
     unit_index,
+    unit_indices,
     unit_label,
     unit_start,
     units_between,
@@ -55,6 +56,7 @@ __all__ = [
     "unit_bounds",
     "unit_end",
     "unit_index",
+    "unit_indices",
     "unit_label",
     "unit_start",
     "units_between",

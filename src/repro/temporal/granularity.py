@@ -18,13 +18,20 @@ Negative indices (instants before the epoch) are fully supported.
 from __future__ import annotations
 
 import enum
+import operator
 from datetime import datetime, timedelta
-from typing import Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import GranularityError
 
 _EPOCH = datetime(1970, 1, 1)
 _WEEK0_START = datetime(1969, 12, 29)  # the Monday on or before the epoch
+
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_US_PER_HOUR = 3_600_000_000
+_US_PER_DAY = 24 * _US_PER_HOUR
 
 
 class Granularity(enum.Enum):
@@ -52,6 +59,13 @@ class Granularity(enum.Enum):
         return self.value
 
 
+_MONTHS_PER_UNIT = {
+    Granularity.MONTH: 1,
+    Granularity.QUARTER: 3,
+    Granularity.YEAR: 12,
+}
+
+
 def unit_index(instant: datetime, granularity: Granularity) -> int:
     """The index of the time unit containing ``instant``."""
     if granularity is Granularity.HOUR:
@@ -69,6 +83,51 @@ def unit_index(instant: datetime, granularity: Granularity) -> int:
         return (instant.year - 1970) * 4 + (instant.month - 1) // 3
     if granularity is Granularity.YEAR:
         return instant.year - 1970
+    raise GranularityError(f"unhandled granularity {granularity!r}")
+
+
+def stamp_column(instants: Sequence[datetime]) -> np.ndarray:
+    """Naive datetimes as a ``datetime64[us]`` column (exact).
+
+    Assembled from the calendar fields with one C-level pass per field,
+    several times faster than letting numpy convert the objects one by
+    one.
+    """
+    n = len(instants)
+
+    def field(getter) -> np.ndarray:
+        return np.fromiter(map(getter, instants), dtype=np.int64, count=n)
+
+    days = field(datetime.toordinal) - _EPOCH_ORDINAL
+    seconds = (
+        field(operator.attrgetter("hour")) * 3600
+        + field(operator.attrgetter("minute")) * 60
+        + field(operator.attrgetter("second"))
+    )
+    micros = (days * 86400 + seconds) * 1_000_000 + field(
+        operator.attrgetter("microsecond")
+    )
+    return micros.view("datetime64[us]")
+
+
+def unit_indices(stamps: np.ndarray, granularity: Granularity) -> np.ndarray:
+    """:func:`unit_index` of every instant of a ``datetime64[us]`` column.
+
+    Integer floor division throughout, so instants before the epoch land
+    in the (negative) unit that contains them, exactly like the scalar
+    function.
+    """
+    if granularity in _MONTHS_PER_UNIT:
+        months = stamps.astype("datetime64[M]").astype(np.int64)
+        return months // _MONTHS_PER_UNIT[granularity]
+    micros = stamps.astype(np.int64)
+    if granularity is Granularity.HOUR:
+        return micros // _US_PER_HOUR
+    if granularity is Granularity.DAY:
+        return micros // _US_PER_DAY
+    if granularity is Granularity.WEEK:
+        # Week 0 starts on the Monday three days before the epoch.
+        return (micros + 3 * _US_PER_DAY) // (7 * _US_PER_DAY)
     raise GranularityError(f"unhandled granularity {granularity!r}")
 
 

@@ -48,7 +48,7 @@ def _slow_variant(index: int) -> str:
     """Day granularity: several seconds of real mining on the test store."""
     return (
         "MINE PERIODS FROM transactions AT GRANULARITY day "
-        f"WITH SUPPORT >= {0.4 + index * 0.001:.3f}, CONFIDENCE >= 0.6;"
+        f"WITH SUPPORT >= {0.2 + index * 0.001:.3f}, CONFIDENCE >= 0.6;"
     )
 
 

@@ -79,6 +79,27 @@ def test_unit_bounds_cover_empty_units():
     assert first_unit == encoded.unit_offsets(Granularity.DAY)[0]
 
 
+def test_database_encodes_once_until_it_changes():
+    db = TransactionDatabase()
+    base = datetime(2026, 1, 1)
+    db.add(base, ["a", "b"])
+    first = db.encoded()
+    assert db.encoded() is first  # memoized: contexts and Apriori share it
+    assert first.stamps.dtype == np.dtype("datetime64[us]")
+    assert first.stamps.tolist() == list(first.timestamps)
+
+    db.add(base + timedelta(hours=1), ["a"])
+    second = db.encoded()
+    assert second is not first and len(second) == 2
+    assert len(first) == 1  # the old encoding is never mutated
+
+    db.catalog.add("unseen")  # a wider universe is a different encoding
+    third = db.encoded()
+    assert third is not second and third.n_items == second.n_items + 1
+    # The uncached encoder still encodes afresh every time.
+    assert EncodedDatabase.from_database(db) is not EncodedDatabase.from_database(db)
+
+
 def test_unit_bounds_empty_database_raises():
     empty = EncodedDatabase.from_database(TransactionDatabase())
     assert empty.is_empty()

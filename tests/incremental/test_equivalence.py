@@ -26,7 +26,7 @@ from repro.datagen import QuestConfig, generate_baskets
 from repro.incremental import IncrementalContext, append_encoded
 from repro.mining.engine import TemporalMiner
 from repro.mining.tasks import PeriodicityTask, RuleThresholds, ValidPeriodTask
-from repro.temporal.granularity import Granularity
+from repro.temporal.granularity import Granularity, unit_index
 
 BACKENDS = ("dict", "hashtree", "vertical", "packed")
 WORKER_COUNTS = (1, 2, 3, 4)
@@ -145,7 +145,12 @@ def test_append_encoded_equals_reencode(seed, kind):
         assert np.array_equal(encoded.offsets, reencoded.offsets)
         assert np.array_equal(encoded.tids, reencoded.tids)
         assert encoded.timestamps == reencoded.timestamps
+        assert np.array_equal(encoded.stamps, reencoded.stamps)
         assert encoded.n_items == reencoded.n_items
+        for granularity in (Granularity.DAY, Granularity.MONTH):
+            assert result.touched_units(granularity) == {
+                unit_index(timestamp, granularity) for timestamp, _ in batch
+            }
 
 
 def test_append_encoded_tail_fast_path_flag():

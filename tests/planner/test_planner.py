@@ -140,6 +140,21 @@ class TestPlanQuery:
         assert plan.n_shards == 1
         assert not plan.backend_pinned and not plan.workers_pinned
 
+    @pytest.mark.parametrize("granularity", [Granularity.DAY, None])
+    def test_empty_store_still_plans(self, granularity):
+        empty = StoreStats(n_transactions=0, n_items=0, n_occurrences=0)
+        shape = StatementShape(
+            task="valid_periods", granularity=granularity, min_support=0.05
+        )
+        assert estimate_workload(empty, shape).pass_candidates >= 1
+        plan = plan_query(empty, shape, metrics=MetricsRegistry(), cpu_count=2)
+        assert (plan.workers, plan.n_shards) == (1, 1)
+        assert all(cost.seconds >= 0 for cost in plan.costs)
+        # ... and through the database front door, as EXPLAIN reaches it.
+        assert plan_query(
+            TransactionDatabase(), shape, metrics=MetricsRegistry(), cpu_count=2
+        ).backend == plan.backend
+
     def test_cheapest_backend_wins(self):
         registry = MetricsRegistry()
         plan = plan_query(BIG_STATS, SHAPE, metrics=registry, cpu_count=4)
@@ -282,3 +297,80 @@ class TestCalibration:
             )
         recalibrated = plan_query(BIG_STATS, SHAPE, metrics=registry, cpu_count=1)
         assert recalibrated.backend != baseline.backend
+
+
+class TestBenchShapes:
+    """The regression benchmark's library round, as the planner sees it.
+
+    Its stores are small and its kernel passes cost milliseconds, so a
+    fork could only lose; the cost model must keep saying so on the
+    2-CPU boxes the benchmark runs on.
+    """
+
+    def test_library_round_plans_serial_packed_on_two_cpus(self, monkeypatch):
+        from repro.datagen import QuestConfig, generate_baskets, periodic_dataset
+        from repro.mining import (
+            ConstrainedTask,
+            PeriodicityTask,
+            RuleThresholds,
+            TemporalMiner,
+            ValidPeriodTask,
+        )
+        from repro.temporal import CyclicPeriodicity
+
+        monkeypatch.setenv("REPRO_PLAN_CPUS", "2")
+        start = datetime(2025, 1, 1)
+        quest = TransactionDatabase()
+        baskets = generate_baskets(
+            QuestConfig(
+                n_transactions=5000,
+                avg_transaction_size=8,
+                avg_pattern_size=4,
+                n_items=500,
+                n_patterns=100,
+                seed=11,
+            )
+        )
+        for index, basket in enumerate(baskets):
+            quest.add(
+                start + timedelta(seconds=index * 91 * 86400 / len(baskets)),
+                [f"i{item}" for item in basket or (index,)],
+            )
+        periodic = periodic_dataset(
+            n_transactions=10000, start=start, n_days=91, quest_seed=12, seed=13
+        ).database
+        day, week = Granularity.DAY, Granularity.WEEK
+        statements = [
+            (quest, ValidPeriodTask(day, RuleThresholds(0.08, 0.6), max_rule_size=3)),
+            (periodic, ValidPeriodTask(day, RuleThresholds(0.10, 0.6), max_rule_size=3)),
+            (periodic, ValidPeriodTask(week, RuleThresholds(0.10, 0.6), max_rule_size=3)),
+            (
+                periodic,
+                PeriodicityTask(
+                    day, RuleThresholds(0.10, 0.6), max_period=8, min_match=0.8, max_rule_size=3
+                ),
+            ),
+            (
+                periodic,
+                ConstrainedTask(
+                    CyclicPeriodicity(7, 5, day),
+                    RuleThresholds(0.10, 0.6),
+                    granularity=day,
+                    max_rule_size=3,
+                ),
+            ),
+        ]
+        for database, task in statements:
+            plan = TemporalMiner(database, metrics=MetricsRegistry()).plan_for(task)
+            assert (plan.backend, plan.workers, plan.n_shards) == ("packed", 1, 1)
+            # Only the kernel's share of the estimate would shard.
+            chosen = next(c for c in plan.costs if c.backend == plan.backend)
+            assert 0 < chosen.counting_seconds <= chosen.seconds
+
+    def test_bitmap_backends_share_one_per_unit_cost(self):
+        costs = {c.backend: c for c in backend_costs(BIG_STATS, SHAPE, {})}
+        assert costs["vertical"].seconds == costs["packed"].seconds
+        assert "candidates x" in costs["packed"].detail
+        unitless = StatementShape(task="constrained", granularity=None, min_support=0.05)
+        whole = {c.backend: c for c in backend_costs(BIG_STATS, unitless, {})}
+        assert whole["vertical"].seconds != whole["packed"].seconds
