@@ -26,7 +26,7 @@ from repro.mining.context import TemporalContext
 from repro.mining.results import MiningReport, PeriodicityFinding, ValidPeriodRule
 from repro.mining.tasks import PeriodicityTask, ValidPeriodTask
 from repro.mining.valid_periods import periods_for_series
-from repro.mining.periodicities import _findings_for_series  # shared detection
+from repro.mining.periodicities import periodicity_findings  # shared detection
 from repro.mining.rulespace import RuleUnitSeries
 from repro.temporal.granularity import Granularity, unit_bounds
 
@@ -168,11 +168,19 @@ def sequential_periodicities(
         max_consequent_size=task.max_consequent_size,
         context=context,
     )
+    kept = [s for s in scan.series if s.n_valid_units() >= task.min_repetitions]
     findings: List[PeriodicityFinding] = []
-    for series in scan.series:
-        if series.n_valid_units() < task.min_repetitions:
-            continue
-        findings.extend(_findings_for_series(series, scan.context, task))
+    if kept:
+        findings = list(
+            periodicity_findings(
+                lambda row: kept[row].key,
+                np.stack([s.valid for s in kept]),
+                np.stack([s.itemset_counts for s in kept]),
+                np.stack([s.antecedent_counts for s in kept]),
+                scan.context,
+                task,
+            )
+        )
     return MiningReport(
         task_name="periodicities(sequential)",
         results=tuple(findings),

@@ -26,13 +26,14 @@ one is purely a performance decision.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.columnar.bitmaps import VerticalIndex, candidate_ids
 from repro.core.counting import DictCounter, HashTreeCounter
 from repro.core.items import Item, Itemset
+from repro.core.levels import as_itemsets
 from repro.errors import MiningParameterError
 from repro.obs.metrics import default_registry
 from repro.runtime.budget import RunMonitor
@@ -45,6 +46,9 @@ _CHECK_STRIDE = 4096
 
 #: The backend ``"auto"`` resolves to, everywhere.
 AUTO_BACKEND = "packed"
+
+#: A pass of same-size candidates: itemsets, or a level's ``(n, k)`` id matrix.
+Candidates = Union[Sequence[Itemset], np.ndarray]
 
 
 class BasketSegment:
@@ -104,20 +108,24 @@ class CountingBackend(abc.ABC):
 
     def count_units(
         self,
-        candidates: Sequence[Itemset],
+        candidates: Candidates,
         units: "EncodedUnits",
         live: Optional[np.ndarray] = None,
         monitor: Optional[RunMonitor] = None,
     ) -> np.ndarray:
         """Support of every candidate within every unit of ``units``.
 
-        Returns an ``(n_candidates, n_units)`` int64 matrix whose rows
-        align with ``candidates``; units where the boolean ``live`` mask
-        is ``False`` are not scanned and stay zero.  This default is the
-        plain loop — one :meth:`count_pass` per non-empty live unit —
-        that the reference backends keep; the bitmap backends override
-        it with one segmented call for all units.
+        ``candidates`` is a sequence of same-size itemsets or a level's
+        ``(n, k)`` id matrix.  Returns an ``(n_candidates, n_units)``
+        int64 matrix whose rows align with ``candidates``; units where
+        the boolean ``live`` mask is ``False`` are not scanned and stay
+        zero.  This default is the plain loop — one :meth:`count_pass`
+        per non-empty live unit — that the reference backends keep; the
+        bitmap backends override it with one segmented call for all
+        units.
         """
+        if isinstance(candidates, np.ndarray):
+            candidates = as_itemsets(candidates)
         matrix = np.zeros((len(candidates), len(units)), dtype=np.int64)
         for unit in range(len(units)) if live is None else np.flatnonzero(live):
             segment = units.segment(int(unit))
@@ -177,7 +185,7 @@ class _BitmapBackend(CountingBackend):
 
     def count_units(
         self,
-        candidates: Sequence[Itemset],
+        candidates: Candidates,
         units: "EncodedUnits",
         live: Optional[np.ndarray] = None,
         monitor: Optional[RunMonitor] = None,

@@ -22,11 +22,12 @@ counting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.items import Item, Itemset
+from repro.core.levels import as_rows, ragged_arange
 from repro.runtime.budget import RunMonitor
 
 #: Candidates counted between two monitor checkpoints.
@@ -79,21 +80,21 @@ def popcount_words(matrix: np.ndarray) -> np.ndarray:
     return _POPCOUNT16[halves].reshape(*matrix.shape, 4).sum(axis=-1, dtype=np.uint8)
 
 
-def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``arange(start, start + length)`` of every pair, concatenated."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
-
-
-def candidate_ids(candidates: Sequence[Itemset], n_item_rows: int) -> np.ndarray:
+def candidate_ids(
+    candidates: Union[Sequence[Itemset], np.ndarray], n_item_rows: int
+) -> np.ndarray:
     """Same-size candidates as an ``(n, k)`` matrix of bitmap row numbers.
 
-    Item ids outside ``[0, n_item_rows)`` are mapped to the zero
-    sentinel row ``n_item_rows``.  Candidates of differing sizes raise
+    ``candidates`` is a sequence of itemsets or already a level's id
+    matrix (:mod:`repro.core.levels`).  Item ids outside
+    ``[0, n_item_rows)`` are mapped to the zero sentinel row
+    ``n_item_rows``.  Candidates of differing sizes raise
     :class:`ValueError` (numpy refuses the ragged matrix).
     """
-    ids = np.array([candidate.items for candidate in candidates], dtype=np.int64)
+    if isinstance(candidates, np.ndarray):
+        ids = candidates.astype(np.int64)
+    else:
+        ids = as_rows(candidates)
     ids[(ids < 0) | (ids >= n_item_rows)] = n_item_rows
     return ids
 

@@ -14,13 +14,12 @@ partition, a shard worker on its slice of the boundary array.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.columnar.backends import CountingBackend
+from repro.columnar.backends import Candidates, CountingBackend
 from repro.columnar.encoded import EncodedUnits
-from repro.core.items import Itemset
 from repro.runtime.budget import RunMonitor
 
 
@@ -51,13 +50,13 @@ def count_items_per_unit(
 
 def count_candidates_per_unit(
     units: EncodedUnits,
-    candidates: Sequence[Itemset],
+    candidates: Candidates,
     backend: CountingBackend,
     unit_mask: Optional[np.ndarray] = None,
     candidate_masks: Optional[np.ndarray] = None,
     monitor: Optional[RunMonitor] = None,
 ) -> np.ndarray:
-    """Per-unit support of same-size ``candidates``.
+    """Per-unit support of same-size ``candidates`` (itemsets or an id matrix).
 
     Returns an ``(n_candidates, n_units)`` matrix whose rows align with
     ``candidates``.  ``unit_mask`` (boolean, length ``n_units``) skips
@@ -71,7 +70,7 @@ def count_candidates_per_unit(
     then discards the pass.
     """
     n_units = len(units)
-    if not candidates:
+    if not len(candidates):
         return np.zeros((0, n_units), dtype=np.int64)
     if monitor is not None:
         monitor.commit_granule_batch(range(n_units))

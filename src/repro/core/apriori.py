@@ -40,6 +40,7 @@ from repro.columnar.backends import (
 )
 from repro.columnar.encoded import EncodedDatabase, EncodedSegment
 from repro.core.items import Item, Itemset
+from repro.core.levels import as_itemsets, as_rows, join, next_level, prune
 from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
 from repro.runtime.budget import RunInterrupted, RunMonitor
@@ -143,44 +144,33 @@ def apriori_join(frequent_prev: Sequence[Itemset]) -> List[Itemset]:
     """
     if not frequent_prev:
         return []
-    k_prev = len(frequent_prev[0])
-    ordered = sorted(frequent_prev)
-    candidates: List[Itemset] = []
-    n = len(ordered)
-    for i in range(n):
-        first = ordered[i].items
-        prefix = first[:-1]
-        for j in range(i + 1, n):
-            second = ordered[j].items
-            if second[:-1] != prefix:
-                break  # sorted order: no later itemset shares this prefix
-            candidates.append(Itemset(first + (second[-1],)))
-    # Sanity: joining (k-1)-itemsets yields k-itemsets.
-    assert all(len(c) == k_prev + 1 for c in candidates)
-    return candidates
+    return as_itemsets(join(as_rows(sorted(frequent_prev))))
 
 
 def apriori_prune(
     candidates: Iterable[Itemset], frequent_prev: Iterable[Itemset]
 ) -> List[Itemset]:
-    """Prune step: keep candidates whose every (k−1)-subset is frequent."""
-    frequent_set = set(frequent_prev)
-    survivors: List[Itemset] = []
-    for candidate in candidates:
-        items = candidate.items
-        # The two subsets produced by the join are frequent by construction,
-        # but checking all of them keeps this function independently correct.
-        if all(
-            Itemset(items[:i] + items[i + 1 :]) in frequent_set
-            for i in range(len(items))
-        ):
-            survivors.append(candidate)
-    return survivors
+    """Prune step: keep candidates whose every (k−1)-subset is frequent.
+
+    Checks all ``k`` subsets, the two the join guarantees included, so it
+    stays correct for candidates that did not come from a join.
+    """
+    candidates = list(candidates)
+    frequent = list(frequent_prev)
+    if not candidates or not frequent:
+        return []
+    kept = prune(as_rows(candidates), as_rows(frequent))
+    return as_itemsets(kept)
 
 
 def generate_candidates(frequent_prev: Sequence[Itemset]) -> List[Itemset]:
-    """Full candidate generation: join then prune."""
-    return apriori_prune(apriori_join(frequent_prev), frequent_prev)
+    """Full candidate generation, join then prune, in lexicographic order.
+
+    The :class:`Itemset` adapter over :func:`repro.core.levels.next_level`.
+    """
+    if not frequent_prev:
+        return []
+    return as_itemsets(next_level(as_rows(sorted(frequent_prev))))
 
 
 def apriori(

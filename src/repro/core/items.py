@@ -45,6 +45,19 @@ class Itemset:
         self._hash = hash(self._items)
 
     @classmethod
+    def canonical(cls, items: Tuple[Item, ...]) -> "Itemset":
+        """Wrap a tuple that is already canonical (ascending, unique ids >= 0).
+
+        Skips the constructor's sort and checks — for the level kernels
+        of :mod:`repro.core.levels`, whose rows are canonical by
+        construction.
+        """
+        itemset = object.__new__(cls)
+        itemset._items = items
+        itemset._hash = hash(items)
+        return itemset
+
+    @classmethod
     def of(cls, *items: Item) -> "Itemset":
         """Convenience constructor: ``Itemset.of(1, 2, 3)``."""
         return cls(items)

@@ -17,9 +17,10 @@ Staleness is tracked with *epochs* rather than a single dirty mask:
 * every cached row carries the epoch it was counted at; the row is
   stale exactly in the units where ``_unit_epochs > row_epoch``.
 
-The cached candidate rows live in one matrix (a candidate maps to its
-row number), so a recount splices whole blocks of rows and columns and
-an append realigns the cache with a single copy.
+The cached candidate rows live in one matrix, found by the same int64
+row key the Apriori prune uses (one ``searchsorted`` per pass, no
+per-candidate dictionary lookups), so a recount splices whole blocks of
+rows and columns and an append realigns the cache with a single copy.
 
 Rows cached at different times therefore each see precisely their own
 stale set, and there is no "when do we clear the mask" problem — a
@@ -36,13 +37,13 @@ counts and must never be committed.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.columnar.encoded import EncodedDatabase
 from repro.columnar.perunit import count_items_per_unit
-from repro.core.items import Item, Itemset
+from repro.core.levels import RowIndex
 from repro.core.transactions import TransactionDatabase
 from repro.mining.context import TemporalContext
 from repro.obs.metrics import MetricsRegistry
@@ -119,14 +120,17 @@ class IncrementalContext(TemporalContext):
         #: Cached pass-1 matrix (n_items × n_units) and its commit epoch.
         self._item_matrix: Optional[np.ndarray] = None
         self._item_epoch = -1
-        #: Cached candidate rows: itemset -> row of ``_cache``, whose
-        #: commit epoch is the same row of ``_row_epochs``.
-        self._slots: Dict[Itemset, int] = {}
+        #: Cached candidate rows, per itemset size ``k``: the ``(m, k)`` id
+        #: rows and the row of ``_cache`` holding each one's counts (whose
+        #: commit epoch is the same row of ``_row_epochs``).  Looked up by
+        #: row key (:class:`~repro.core.levels.RowIndex`, built on demand).
+        self._rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._indexes: Dict[int, RowIndex] = {}
         self._cache = np.zeros((0, self.n_units), dtype=np.int64)
         self._row_epochs = np.zeros(0, dtype=np.int64)
 
     def cached_row_count(self) -> int:
-        return len(self._slots)
+        return len(self._cache)
 
     # ------------------------------------------------------------------
     # metrics
@@ -148,20 +152,17 @@ class IncrementalContext(TemporalContext):
     # counting overrides
     # ------------------------------------------------------------------
 
-    def count_items_per_unit(
+    def count_items_matrix(
         self,
         monitor: Optional[RunMonitor] = None,
         executor: Optional["ShardedExecutor"] = None,
-    ) -> Dict[Item, np.ndarray]:
+    ) -> np.ndarray:
         matrix = self._item_matrix
         if matrix is None:
-            counted = super().count_items_per_unit(monitor=monitor, executor=executor)
-            matrix = np.zeros((self.encoded.n_items, self.n_units), dtype=np.int64)
-            for item, row in counted.items():
-                matrix[item] = row
+            matrix = super().count_items_matrix(monitor=monitor, executor=executor)
             self._item_matrix = matrix
             self._item_epoch = self.epoch
-            return counted
+            return matrix
         stale = self.dirty_mask(self._item_epoch)
         dirty = int(np.count_nonzero(stale))
         started = perf_counter()
@@ -179,32 +180,19 @@ class IncrementalContext(TemporalContext):
             self._item_matrix = matrix = fresh
             self._item_epoch = self.epoch
             self._record_delta(dirty, perf_counter() - started)
-        present = np.flatnonzero(matrix.any(axis=1))
-        return {int(item): matrix[item] for item in present}
+        return matrix
 
-    def count_candidates_per_unit(
+    def count_level(
         self,
-        candidates: Sequence[Itemset],
-        unit_mask: Optional[np.ndarray] = None,
+        ids: np.ndarray,
         counting: str = "auto",
         monitor: Optional[RunMonitor] = None,
         executor: Optional["ShardedExecutor"] = None,
-    ) -> Dict[Itemset, np.ndarray]:
-        if unit_mask is not None or not candidates:
-            # Masked counting produces skip-zeros, not real counts.
-            return super().count_candidates_per_unit(
-                candidates,
-                unit_mask=unit_mask,
-                counting=counting,
-                monitor=monitor,
-                executor=executor,
-            )
-        n = len(candidates)
-        slots = np.fromiter(
-            (self._slots.get(candidate, -1) for candidate in candidates),
-            dtype=np.int64,
-            count=n,
-        )
+    ) -> np.ndarray:
+        n = len(ids)
+        if not n:
+            return super().count_level(ids, counting, monitor=monitor, executor=executor)
+        slots = self._lookup(ids)
 
         # One pass over the candidate list ticks every unit exactly once,
         # exactly like the base class's pass — cached units count as
@@ -223,7 +211,7 @@ class IncrementalContext(TemporalContext):
             started = perf_counter()
             members = cached[commit_epochs == row_epoch]
             recounted = self._count_matrix(
-                [candidates[row] for row in members], counting, executor, unit_mask=stale
+                ids[members], counting, executor, unit_mask=stale
             )
             self._cache[np.ix_(slots[members], np.flatnonzero(stale))] = recounted[:, stale]
             self._row_epochs[slots[members]] = self.epoch
@@ -231,24 +219,47 @@ class IncrementalContext(TemporalContext):
 
         fresh = np.flatnonzero(slots < 0)
         if not fresh.size:
-            matrix = self._cache[slots]
+            return self._cache[slots]
+        counted = self._count_matrix(ids[fresh], counting, executor)
+        if fresh.size == n:
+            matrix = counted
         else:
-            group = [candidates[row] for row in fresh]
-            counted = self._count_matrix(group, counting, executor)
-            if fresh.size == n:
-                matrix = counted
-            else:
-                matrix = self._cache[np.maximum(slots, 0)]
-                matrix[fresh] = counted
-            first = len(self._cache)
-            kept = group[: max(self.MAX_CACHED_ROWS - first, 0)]
-            for offset, candidate in enumerate(kept):
-                self._slots[candidate] = first + offset
-            self._cache = np.concatenate([self._cache, counted[: len(kept)]])
-            self._row_epochs = np.concatenate(
-                [self._row_epochs, np.full(len(kept), self.epoch, dtype=np.int64)]
-            )
-        return {candidate: matrix[row] for row, candidate in enumerate(candidates)}
+            matrix = self._cache[np.maximum(slots, 0)]
+            matrix[fresh] = counted
+        self._remember(ids[fresh], counted)
+        return matrix
+
+    def _lookup(self, ids: np.ndarray) -> np.ndarray:
+        """Cache row of every id row (``-1`` where uncached): one search."""
+        k = ids.shape[1]
+        cached = self._rows.get(k)
+        if cached is None:
+            return np.full(len(ids), -1, dtype=np.int64)
+        rows, slots = cached
+        index = self._indexes.get(k)
+        if index is None:
+            index = self._indexes[k] = RowIndex(rows)
+        found = index.find(ids)
+        return np.where(found >= 0, slots[np.maximum(found, 0)], -1)
+
+    def _remember(self, ids: np.ndarray, counted: np.ndarray) -> None:
+        """Commit freshly counted rows to the cache, up to the row cap."""
+        first = len(self._cache)
+        room = max(self.MAX_CACHED_ROWS - first, 0)
+        ids, counted = ids[:room], counted[:room]
+        if not len(ids):
+            return
+        k = ids.shape[1]
+        slots = np.arange(first, first + len(ids), dtype=np.int64)
+        if k in self._rows:
+            rows, known = self._rows[k]
+            ids, slots = np.concatenate([rows, ids]), np.concatenate([known, slots])
+        self._rows[k] = (ids, slots)
+        self._indexes.pop(k, None)
+        self._cache = np.concatenate([self._cache, counted])
+        self._row_epochs = np.concatenate(
+            [self._row_epochs, np.full(len(counted), self.epoch, dtype=np.int64)]
+        )
 
     # ------------------------------------------------------------------
     # append protocol
@@ -291,7 +302,7 @@ class IncrementalContext(TemporalContext):
             matrix[: self._item_matrix.shape[0], shift : shift + n_old] = self._item_matrix
             clone._item_matrix = matrix
             clone._item_epoch = self._item_epoch
-        clone._slots = dict(self._slots)
+        clone._rows = dict(self._rows)
         clone._cache = np.zeros((len(self._cache), n_new), dtype=np.int64)
         clone._cache[:, shift : shift + n_old] = self._cache
         clone._row_epochs = self._row_epochs.copy()

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import time
 from datetime import datetime
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, List, Optional
+
+import numpy as np
 
 from repro.core.apriori import AprioriOptions, apriori
 from repro.core.rulegen import generate_rules
@@ -23,7 +26,7 @@ from repro.mining.tasks import ConstrainedTask, TemporalFeature
 from repro.obs.trace import tracer_of
 from repro.runtime.budget import RunInterrupted, RunMonitor
 from repro.temporal.calendar_algebra import CalendarExpression, CalendarPattern
-from repro.temporal.granularity import Granularity, unit_index
+from repro.temporal.granularity import Granularity, unit_index, unit_indices
 from repro.temporal.interval import IntervalSet, TimeInterval
 from repro.temporal.periodicity import CalendricPeriodicity, CyclicPeriodicity
 
@@ -85,10 +88,27 @@ def restrict_database(
     feature: TemporalFeature,
     granularity: Granularity,
 ) -> TransactionDatabase:
-    """The sub-database of transactions inside the temporal feature."""
+    """The sub-database of transactions inside the temporal feature.
+
+    Intervals take one binary-searched slice.  Unit-based features
+    (periodicities) classify each *distinct* unit once: the unit of every
+    transaction comes from the encoded timestamp column
+    (:func:`~repro.temporal.granularity.unit_indices`), and the members
+    are selected by boolean mask.  Calendar patterns and expressions test
+    each instant.
+    """
     if isinstance(feature, TimeInterval):
         # Fast path: one binary-searched slice.
         return database.between(feature.start, feature.end)
+    if isinstance(feature, (CyclicPeriodicity, CalendricPeriodicity)):
+        units = unit_indices(database.encoded().stamps, feature.granularity)
+        distinct, positions = np.unique(units, return_inverse=True)
+        member = np.fromiter(
+            map(feature.matches_unit, distinct.tolist()), dtype=bool, count=len(distinct)
+        )
+        return TransactionDatabase(
+            compress(database, member[positions].tolist()), catalog=database.catalog
+        )
     predicate = feature_predicate(feature, granularity)
 
     def transaction_in_feature(transaction: Transaction) -> bool:

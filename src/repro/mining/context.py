@@ -18,16 +18,15 @@ the temporal anti-monotone prune.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.columnar.backends import resolve_backend
+from repro.columnar.backends import Candidates, resolve_backend
 from repro.columnar.encoded import EncodedDatabase, EncodedSegment, EncodedUnits
 from repro.columnar.perunit import count_candidates_per_unit, count_items_per_unit
-from repro.core.apriori import generate_candidates
 from repro.core.items import Item, Itemset
+from repro.core.levels import RowIndex, as_itemsets, as_rows, next_level
 from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError, TransactionError
 from repro.obs.trace import tracer_of
@@ -108,16 +107,17 @@ class TemporalContext:
     # counting
     # ------------------------------------------------------------------
 
-    def count_items_per_unit(
+    def count_items_matrix(
         self,
         monitor: Optional[RunMonitor] = None,
         executor: Optional["ShardedExecutor"] = None,
-    ) -> Dict[Item, np.ndarray]:
-        """Per-unit absolute support of every single item (one scan).
+    ) -> np.ndarray:
+        """Per-unit absolute support of every item: ``(n_items, n_units)``.
 
-        A monitored run checks the budget at every granule boundary and
-        raises :class:`~repro.runtime.budget.RunInterrupted` mid-scan;
-        callers treat the level-1 pass as incomplete in that case.
+        One scan of the unit-aligned index.  A monitored run checks the
+        budget at every granule boundary and raises
+        :class:`~repro.runtime.budget.RunInterrupted` mid-scan; callers
+        treat the level-1 pass as incomplete in that case.
 
         With an ``executor``, the unit range is sharded across worker
         processes and the per-shard matrices merged in shard order
@@ -130,8 +130,34 @@ class TemporalContext:
             matrix = executor.count_items(self.encoded, self._bounds, monitor=monitor)
         if matrix is None:
             matrix = count_items_per_unit(self.units, monitor=monitor)
+        return matrix
+
+    def count_items_per_unit(
+        self,
+        monitor: Optional[RunMonitor] = None,
+        executor: Optional["ShardedExecutor"] = None,
+    ) -> Dict[Item, np.ndarray]:
+        """:meth:`count_items_matrix` as item → row, items present somewhere."""
+        matrix = self.count_items_matrix(monitor=monitor, executor=executor)
         present = np.flatnonzero(matrix.any(axis=1))
         return {int(item): matrix[item] for item in present}
+
+    def count_level(
+        self,
+        ids: np.ndarray,
+        counting: str = "auto",
+        monitor: Optional[RunMonitor] = None,
+        executor: Optional["ShardedExecutor"] = None,
+    ) -> np.ndarray:
+        """Per-unit supports of one level's ``(n, k)`` id matrix, every unit.
+
+        Returns the ``(n, n_units)`` matrix whose rows align with
+        ``ids``.  This is the unmasked counting pass every level-wise
+        miner runs, and the one the incremental context serves from its
+        cache.  Monitor and executor behave as in
+        :meth:`count_candidates_per_unit`.
+        """
+        return self._count_matrix(ids, counting, executor, monitor=monitor)
 
     def count_candidates_per_unit(
         self,
@@ -160,6 +186,13 @@ class TemporalContext:
                 merged matrix (deterministic shard order) replaces the
                 serial scan bit for bit.
         """
+        if not candidates:
+            return {}
+        if unit_mask is None:
+            matrix = self.count_level(
+                as_rows(candidates), counting, monitor=monitor, executor=executor
+            )
+            return {candidate: matrix[row] for row, candidate in enumerate(candidates)}
         return self.count_candidates_masked(
             candidates, None, counting, monitor, executor, unit_mask=unit_mask
         )
@@ -179,10 +212,9 @@ class TemporalContext:
         matrix; candidate ``i`` is only counted in the units where row
         ``i`` is ``True`` — the fine-grained form of cycle skipping the
         interleaved periodicity algorithm relies on (``None`` counts
-        every candidate wherever ``unit_mask`` allows).
-
-        This is the one counting pass behind both public methods; see
-        :meth:`_count_matrix` for how it is carried out.
+        every candidate wherever ``unit_mask`` allows).  Masked passes
+        produce skip-zeros, not real counts, so they never go through
+        :meth:`count_level`.
         """
         if not candidates:
             return {}
@@ -198,7 +230,7 @@ class TemporalContext:
 
     def _count_matrix(
         self,
-        candidates: Sequence[Itemset],
+        candidates: Candidates,
         counting: str,
         executor: Optional["ShardedExecutor"],
         unit_mask: Optional[np.ndarray] = None,
@@ -244,38 +276,69 @@ class TemporalContext:
         return np.maximum(np.ceil(exact - 1e-9), 1).astype(np.int64)
 
 
-@dataclass
 class PerUnitCounts:
-    """Per-unit support counts for all retained itemsets.
+    """Per-unit support counts for all retained itemsets, level by level.
 
     Attributes:
         context: the temporal context counted against.
-        counts: itemset → int64 array of per-unit absolute supports.
+        levels: one ``(ids, counts)`` pair per itemset size, smallest
+            first — ``ids`` the size-``k`` level's sorted ``(n, k)`` id
+            matrix (:mod:`repro.core.levels`), ``counts`` its
+            ``(n, n_units)`` int64 per-unit supports, row for row.
         min_support: the local (per-unit) relative support threshold used.
         thresholds: ``min_support`` as per-unit absolute counts.
     """
 
-    context: TemporalContext
-    counts: Dict[Itemset, np.ndarray]
-    min_support: float
-    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        context: TemporalContext,
+        levels: List[Tuple[np.ndarray, np.ndarray]],
+        min_support: float,
+    ):
+        self.context = context
+        self.levels = levels
+        self.min_support = min_support
+        self.thresholds = context.local_min_counts(min_support)
+        self._counts: Optional[Dict[Itemset, np.ndarray]] = None
+        self._indexes: Dict[int, RowIndex] = {}
 
-    def __post_init__(self) -> None:
-        self.thresholds = self.context.local_min_counts(self.min_support)
+    @property
+    def counts(self) -> Mapping[Itemset, np.ndarray]:
+        """Itemset → per-unit counts of every retained itemset.
+
+        Built on first use (level by level, rows in order) — the mining
+        tasks themselves read :attr:`levels` and never pay for it.
+        """
+        if self._counts is None:
+            self._counts = {
+                itemset: counts[row]
+                for ids, counts in self.levels
+                for row, itemset in enumerate(as_itemsets(ids))
+            }
+        return self._counts
+
+    def index(self, k: int) -> RowIndex:
+        """Row lookup into the size-``k`` level (memoized)."""
+        index = self._indexes.get(k)
+        if index is None:
+            index = self._indexes[k] = RowIndex(self.levels[k - 1][0])
+        return index
 
     def support_array(self, itemset: Itemset) -> np.ndarray:
         """Per-unit counts for ``itemset`` (zeros when never retained)."""
-        row = self.counts.get(itemset)
-        if row is None:
-            return np.zeros(self.context.n_units, dtype=np.int64)
-        return row
+        k = len(itemset)
+        if 0 < k <= len(self.levels):
+            row = int(self.index(k).find(as_rows([itemset]))[0])
+            if row >= 0:
+                return self.levels[k - 1][1][row]
+        return np.zeros(self.context.n_units, dtype=np.int64)
 
     def locally_frequent_mask(self, itemset: Itemset) -> np.ndarray:
         """Boolean per-unit mask: locally frequent at ``min_support``."""
         return self.support_array(itemset) >= self.thresholds
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return sum(len(ids) for ids, _ in self.levels)
 
 
 def per_unit_frequent_itemsets(
@@ -291,7 +354,10 @@ def per_unit_frequent_itemsets(
 
     Returns per-unit counts for every retained itemset.  All subsets of a
     retained itemset are retained too (per-unit anti-monotonicity), which
-    downstream rule evaluation relies on.
+    downstream rule evaluation relies on.  Every level stays an id matrix
+    from candidate generation (:func:`repro.core.levels.next_level`)
+    through counting (:meth:`TemporalContext.count_level`) to survivor
+    selection (one comparison against the per-unit thresholds).
 
     Args:
         context: the partitioned database.
@@ -314,50 +380,41 @@ def per_unit_frequent_itemsets(
     if min_units < 1:
         raise MiningParameterError(f"min_units must be >= 1, got {min_units}")
     thresholds = context.local_min_counts(min_support)
-    retained: Dict[Itemset, np.ndarray] = {}
+    levels: List[Tuple[np.ndarray, np.ndarray]] = []
     tracer = tracer_of(monitor)
+
+    def survivors(ids: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """Commit the rows locally frequent in >= ``min_units`` units."""
+        keep = (matrix >= thresholds).sum(axis=1) >= min_units
+        ids = ids[keep]
+        if len(ids):
+            levels.append((ids, matrix[keep]))
+        if monitor is not None:
+            monitor.complete_pass()
+        return ids
 
     try:
         # Level 1: single items in one scan.
         with tracer.span("pass", k=1):
-            item_counts = context.count_items_per_unit(
-                monitor=monitor, executor=executor
-            )
-            frontier: List[Itemset] = []
-            for item, row in item_counts.items():
-                frequent_units = int(np.count_nonzero(row >= thresholds))
-                if frequent_units >= min_units:
-                    singleton = Itemset((item,))
-                    retained[singleton] = row
-                    frontier.append(singleton)
-            frontier.sort()
-            if monitor is not None:
-                monitor.complete_pass()
+            matrix = context.count_items_matrix(monitor=monitor, executor=executor)
+            frontier = survivors(np.arange(len(matrix)).reshape(-1, 1), matrix)
 
         k = 2
-        while frontier and (max_size == 0 or k <= max_size):
-            candidates = generate_candidates(frontier)
-            if not candidates:
+        while len(frontier) and (max_size == 0 or k <= max_size):
+            candidates = next_level(frontier)
+            if not len(candidates):
                 break
             if monitor is not None:
                 monitor.charge_candidates(len(candidates))
             with tracer.span("pass", k=k, candidates=len(candidates)):
-                counted = context.count_candidates_per_unit(
+                matrix = context.count_level(
                     candidates, counting=counting, monitor=monitor, executor=executor
                 )
-                frontier = []
-                for itemset, row in counted.items():
-                    frequent_units = int(np.count_nonzero(row >= thresholds))
-                    if frequent_units >= min_units:
-                        retained[itemset] = row
-                        frontier.append(itemset)
-                frontier.sort()
-                if monitor is not None:
-                    monitor.complete_pass()
+                frontier = survivors(candidates, matrix)
             k += 1
     except RunInterrupted:
-        # The interrupted pass never touched ``retained``: an incomplete
+        # The interrupted pass never reaches ``levels``: an incomplete
         # level-1 scan leaves it empty, an incomplete level-k scan is
         # discarded before its survivors are committed.
         pass
-    return PerUnitCounts(context=context, counts=retained, min_support=min_support)
+    return PerUnitCounts(context=context, levels=levels, min_support=min_support)

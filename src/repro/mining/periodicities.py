@@ -19,8 +19,7 @@ search *during* counting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
 from repro.mining.context import PerUnitCounts, TemporalContext, per_unit_frequent_itemsets
 from repro.mining.results import MiningReport, PeriodicityFinding
-from repro.mining.rulespace import RuleUnitSeries, candidate_rules, enumerate_rule_splits, rule_series
+from repro.mining.rulespace import enumerate_rule_splits, rule_table
 from repro.mining.tasks import PeriodicityTask
 from repro.obs.trace import tracer_of
 from repro.runtime.budget import RunInterrupted, RunMonitor
@@ -44,6 +43,35 @@ _EPS = 1e-9
 
 Cycle = Tuple[int, int]
 """A cyclic periodicity as (period, absolute offset)."""
+
+
+def _cycle_columns(
+    n_units: int, first_unit: int, max_period: int, min_repetitions: int
+) -> List[Tuple[int, int, int, int]]:
+    """Every cycle with enough member units inside an ``n_units`` window.
+
+    ``(period, relative_offset, absolute_offset, n_members)`` in
+    (period, relative offset) order — the candidate cycles every rule of
+    a mine is tested against.
+    """
+    columns = []
+    for period in range(1, max_period + 1):
+        for relative in range(min(period, n_units)):
+            n_members = len(range(relative, n_units, period))
+            if n_members >= min_repetitions:
+                columns.append((period, relative, (first_unit + relative) % period, n_members))
+    return columns
+
+
+def _strided_sums(matrix: np.ndarray, columns) -> np.ndarray:
+    """Row sums of ``matrix`` over each cycle's member units: ``(m, n_cycles)``.
+
+    One strided column reduction per cycle, for all rows at once.
+    """
+    sums = np.zeros((matrix.shape[0], len(columns)), dtype=np.int64)
+    for column, (period, relative, _, _) in enumerate(columns):
+        sums[:, column] = matrix[:, relative::period].sum(axis=1)
+    return sums
 
 
 def cycles_of_sequence(
@@ -63,22 +91,17 @@ def cycles_of_sequence(
         min_match: required fraction of member units that are valid.
 
     Returns:
-        ``((period, absolute_offset), n_members, n_valid)`` triples sorted
-        by period then offset.
+        ``((period, absolute_offset), n_members, n_valid)`` triples in
+        (period, relative offset) order.
     """
-    n = len(valid)
-    results: List[Tuple[Cycle, int, int]] = []
-    for period in range(1, max_period + 1):
-        for relative in range(min(period, n)):
-            members = valid[relative::period]
-            n_members = len(members)
-            if n_members < min_repetitions:
-                continue
-            n_valid = int(np.count_nonzero(members))
-            if n_valid / n_members >= min_match - _EPS:
-                absolute_offset = (first_unit + relative) % period
-                results.append(((period, absolute_offset), n_members, n_valid))
-    return results
+    flags = np.asarray(valid, dtype=bool)
+    columns = _cycle_columns(len(flags), first_unit, max_period, min_repetitions)
+    n_valid = _strided_sums(flags[None], columns)[0].tolist()
+    return [
+        ((period, offset), n_members, hits)
+        for (period, _, offset, n_members), hits in zip(columns, n_valid)
+        if hits / n_members >= min_match - _EPS
+    ]
 
 
 def prune_submultiple_cycles(
@@ -101,6 +124,24 @@ def prune_submultiple_cycles(
     return kept
 
 
+def _submultiples(columns, found: np.ndarray) -> np.ndarray:
+    """Where a cycle is a sub-multiple duplicate of another found cycle.
+
+    :func:`prune_submultiple_cycles` for all rows at once: a found
+    ``(p, o)`` is dropped exactly when some found ``(q, o mod q)`` with
+    ``q`` a proper divisor of ``p`` exists — domination is transitive, so
+    "by a found cycle" and "by a kept cycle" coincide.
+    """
+    position = {(period, offset): column for column, (period, _, offset, _) in enumerate(columns)}
+    dominated = np.zeros_like(found)
+    for column, (period, _, offset, _) in enumerate(columns):
+        for divisor in range(1, period):
+            shorter = position.get((divisor, offset % divisor)) if period % divisor == 0 else None
+            if shorter is not None:
+                dominated[:, column] |= found[:, shorter]
+    return dominated
+
+
 def _member_mask(cycle: Cycle, first_unit: int, n_units: int) -> np.ndarray:
     period, offset = cycle
     relative = (offset - first_unit) % period
@@ -119,57 +160,73 @@ def _calendar_member_mask(
     return mask
 
 
-def _findings_for_series(
-    series: RuleUnitSeries,
+def periodicity_findings(
+    key_of: Callable[[int], RuleKey],
+    valid: np.ndarray,
+    itemset_counts: np.ndarray,
+    antecedent_counts: np.ndarray,
     context: TemporalContext,
     task: PeriodicityTask,
-) -> List[PeriodicityFinding]:
-    findings: List[PeriodicityFinding] = []
-    cycles = cycles_of_sequence(
-        series.valid,
-        context.first_unit,
-        task.max_period,
-        task.min_repetitions,
-        task.min_match,
-    )
+) -> Iterator[PeriodicityFinding]:
+    """The periodicities of every rule of a ``rules × units`` table.
+
+    ``valid`` and the two count matrices are row-aligned; ``key_of(row)``
+    names row ``row``'s rule.  Each cycle is one strided reduction and
+    each calendar pattern one masked reduction over all rules; the sums
+    behind every measure are integers, so the ratios match the
+    per-rule definitions bit for bit.  Findings come rule by rule (table
+    order), cycles before calendar patterns, and are built lazily — a
+    consumer that stops early builds no more.
+    """
+    n_units = context.n_units
+    granularity = context.granularity
+    columns = _cycle_columns(n_units, context.first_unit, task.max_period, task.min_repetitions)
     if task.prune_submultiples:
-        cycles = prune_submultiple_cycles(cycles)
-    for cycle, n_members, n_valid in cycles:
-        mask = _member_mask(cycle, context.first_unit, context.n_units)
-        findings.append(
-            PeriodicityFinding(
-                key=series.key,
-                periodicity=CyclicPeriodicity(
-                    period=cycle[0], offset=cycle[1], granularity=context.granularity
-                ),
-                n_member_units=n_members,
-                n_valid_units=n_valid,
-                match_ratio=n_valid / n_members,
-                temporal_support=series.temporal_support(context.unit_sizes, mask),
-                temporal_confidence=series.temporal_confidence(mask),
-            )
-        )
+        columns.sort(key=lambda column: (column[0], column[2]))
+    periodicities: List[object] = [
+        CyclicPeriodicity(period=period, offset=offset, granularity=granularity)
+        for period, _, offset, _ in columns
+    ]
+    members = [column[3] for column in columns]
+    hits = _strided_sums(valid, columns)
+    numerators = _strided_sums(itemset_counts, columns)
+    antecedents = _strided_sums(antecedent_counts, columns)
+    sizes = _strided_sums(context.unit_sizes[None], columns)[0]
     for pattern in task.calendar_patterns:
-        periodicity = CalendricPeriodicity(pattern, context.granularity)
+        periodicity = CalendricPeriodicity(pattern, granularity)
         mask = _calendar_member_mask(periodicity, context)
         n_members = int(np.count_nonzero(mask))
         if n_members < task.min_repetitions:
             continue
-        n_valid = int(np.count_nonzero(series.valid & mask))
-        if n_valid / n_members < task.min_match - _EPS:
-            continue
-        findings.append(
-            PeriodicityFinding(
-                key=series.key,
-                periodicity=periodicity,
-                n_member_units=n_members,
-                n_valid_units=n_valid,
-                match_ratio=n_valid / n_members,
-                temporal_support=series.temporal_support(context.unit_sizes, mask),
-                temporal_confidence=series.temporal_confidence(mask),
-            )
+        periodicities.append(periodicity)
+        members.append(n_members)
+        hits = np.column_stack([hits, valid[:, mask].sum(axis=1)])
+        numerators = np.column_stack([numerators, itemset_counts[:, mask].sum(axis=1)])
+        antecedents = np.column_stack([antecedents, antecedent_counts[:, mask].sum(axis=1)])
+        sizes = np.append(sizes, context.unit_sizes[mask].sum())
+    found = hits / np.asarray(members, dtype=np.int64) >= task.min_match - _EPS
+    if task.prune_submultiples and columns:
+        found[:, : len(columns)] &= ~_submultiples(columns, found[:, : len(columns)])
+    rows, picked = np.nonzero(found)
+    sizes_of = sizes.tolist()
+    for row, column, n_valid, numerator, antecedent in zip(
+        rows.tolist(),
+        picked.tolist(),
+        hits[rows, picked].tolist(),
+        numerators[rows, picked].tolist(),
+        antecedents[rows, picked].tolist(),
+    ):
+        size = sizes_of[column]
+        # Positional in field order: keyword calls cost twice as much here.
+        yield PeriodicityFinding(
+            key_of(row),
+            periodicities[column],
+            members[column],
+            n_valid,
+            n_valid / members[column],
+            numerator / size if size else 0.0,
+            numerator / antecedent if antecedent else 0.0,
         )
-    return findings
 
 
 def discover_periodicities(
@@ -204,7 +261,7 @@ def discover_periodicities(
                 monitor=monitor,
                 executor=executor,
             )
-    series_list = candidate_rules(
+    table = rule_table(
         counts,
         task.thresholds.min_confidence,
         min_valid_units=task.min_repetitions,
@@ -214,12 +271,18 @@ def discover_periodicities(
     # Detection over already-counted data still runs after a counting
     # stop (it is the partial result); only the rule cap applies here.
     try:
-        with tracer.span("detect", candidates=len(series_list)):
-            for series in series_list:
-                for finding in _findings_for_series(series, context, task):
-                    if monitor is not None:
-                        monitor.charge_rule()
-                    findings.append(finding)
+        with tracer.span("detect", candidates=len(table)):
+            for finding in periodicity_findings(
+                table.key,
+                table.valid,
+                table.itemset_counts,
+                table.antecedent_counts,
+                context,
+                task,
+            ):
+                if monitor is not None:
+                    monitor.charge_rule()
+                findings.append(finding)
     except RunInterrupted:
         pass
     elapsed = time.perf_counter() - started
@@ -251,14 +314,6 @@ def _sequence_cycles_exact(
             valid, first_unit, max_period, min_repetitions, 1.0
         )
     }
-
-
-def _cycle_units(cycles: Set[Cycle], first_unit: int, n_units: int) -> np.ndarray:
-    """Union member mask of a set of cycles."""
-    mask = np.zeros(n_units, dtype=bool)
-    for cycle in cycles:
-        mask |= _member_mask(cycle, first_unit, n_units)
-    return mask
 
 
 def discover_cyclic_interleaved(
@@ -302,6 +357,21 @@ def discover_cyclic_interleaved(
     counts: Dict[Itemset, np.ndarray] = {}
     itemset_cycles: Dict[Itemset, Set[Cycle]] = {}
     tracer = tracer_of(monitor)
+    masks: Dict[Cycle, np.ndarray] = {}
+
+    def members(cycle: Cycle) -> np.ndarray:
+        """The member-unit mask of ``cycle``, built once per run."""
+        mask = masks.get(cycle)
+        if mask is None:
+            mask = masks[cycle] = _member_mask(cycle, first_unit, n_units)
+        return mask
+
+    def cycle_units(cycles: Set[Cycle]) -> np.ndarray:
+        """Union member mask of a set of cycles."""
+        mask = np.zeros(n_units, dtype=bool)
+        for cycle in cycles:
+            mask |= members(cycle)
+        return mask
 
     try:
         # Level 1: one full scan (no skipping possible before cycles exist).
@@ -347,7 +417,7 @@ def discover_cyclic_interleaved(
                 break
             # Cycle skipping: count each candidate only in its live-cycle units.
             candidate_masks = {
-                candidate: _cycle_units(cycles, first_unit, n_units)
+                candidate: cycle_units(cycles)
                 for candidate, cycles in candidate_cycles.items()
             }
             ordered = list(candidate_cycles)
@@ -368,11 +438,7 @@ def discover_cyclic_interleaved(
                 survivors = {
                     cycle
                     for cycle in candidate_cycles[candidate]
-                    if bool(
-                        support_valid[
-                            _member_mask(cycle, first_unit, n_units)
-                        ].all()
-                    )
+                    if bool(support_valid[members(cycle)].all())
                 }
                 if survivors:
                     counts[candidate] = row
@@ -414,7 +480,7 @@ def discover_cyclic_interleaved(
             )
             rule_cycles: List[Tuple[Cycle, int, int]] = []
             for cycle in itemset_cycles[itemset]:
-                mask = _member_mask(cycle, first_unit, n_units)
+                mask = members(cycle)
                 n_members = int(np.count_nonzero(mask))
                 if n_members < task.min_repetitions:
                     continue
@@ -429,7 +495,7 @@ def discover_cyclic_interleaved(
                     except RunInterrupted:
                         interrupted = True
                         break
-                mask = _member_mask(cycle, first_unit, n_units)
+                mask = members(cycle)
                 denominator_support = int(context.unit_sizes[mask].sum())
                 denominator_confidence = int(antecedent_row[mask].sum())
                 numerator = int(itemset_row[mask].sum())

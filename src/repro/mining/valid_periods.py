@@ -25,10 +25,11 @@ import numpy as np
 from repro.core.transactions import TransactionDatabase
 from repro.mining.context import PerUnitCounts, TemporalContext, per_unit_frequent_itemsets
 from repro.mining.results import MiningReport, ValidPeriod, ValidPeriodRule
-from repro.mining.rulespace import RuleUnitSeries, candidate_rules
+from repro.mining.rulespace import RuleTable, RuleUnitSeries, candidate_rules, maximal_runs
 from repro.mining.tasks import ValidPeriodTask
 from repro.obs.trace import tracer_of
 from repro.runtime.budget import RunInterrupted, RunMonitor
+from repro.temporal.granularity import unit_starts
 from repro.temporal.interval import TimeInterval
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -51,12 +52,17 @@ def maximal_valid_windows(
     [(0, 5, 5)]
     """
     flags = np.asarray(valid, dtype=bool)
+    if min_frequency >= 1.0 - _EPS:
+        _, starts, stops = maximal_runs(flags[None])
+        return [
+            (start, stop - 1, stop - start)
+            for start, stop in zip(starts.tolist(), stops.tolist())
+            if stop - start >= min_coverage
+        ]
     positions = np.flatnonzero(flags)
     v = len(positions)
     if v == 0:
         return []
-    if min_frequency >= 1.0 - _EPS:
-        return _maximal_runs(positions, min_coverage)
     # Candidate windows start and end at valid units: index them by the
     # positions array.  lengths[i, j] = window length; valid count = j-i+1.
     starts = positions[:, None]
@@ -85,23 +91,64 @@ def maximal_valid_windows(
     return windows
 
 
-def _maximal_runs(positions: np.ndarray, min_coverage: int) -> List[Tuple[int, int, int]]:
-    """Maximal runs of consecutive valid offsets, length >= min_coverage."""
-    runs: List[Tuple[int, int, int]] = []
-    run_start = int(positions[0])
-    previous = run_start
-    for position in positions[1:]:
-        position = int(position)
-        if position == previous + 1:
-            previous = position
-            continue
-        if previous - run_start + 1 >= min_coverage:
-            runs.append((run_start, previous, previous - run_start + 1))
-        run_start = position
-        previous = position
-    if previous - run_start + 1 >= min_coverage:
-        runs.append((run_start, previous, previous - run_start + 1))
-    return runs
+def _table_periods(
+    table: RuleTable,
+    context: TemporalContext,
+    min_frequency: float,
+    min_coverage: int,
+) -> List[Tuple[ValidPeriod, ...]]:
+    """The maximal valid periods of every rule of ``table``, row by row.
+
+    With ``min_frequency == 1.0`` the periods are the table's maximal
+    runs (:meth:`RuleTable.runs`) spanning ``min_coverage`` units —
+    filtered, measured and dated for all rules at once.  Otherwise the
+    gap-tolerant window search of :func:`maximal_valid_windows` runs rule
+    by rule.  Every measure is a ratio of integer sums over the period's
+    units, so the floats match the per-rule definitions bit for bit.
+    """
+    if min_frequency >= 1.0 - _EPS:
+        rows, starts, stops, item_sums, antecedent_sums = table.runs()
+        keep = stops - starts >= min_coverage
+        rows, starts, stops = rows[keep], starts[keep], stops[keep]
+        item_sums, antecedent_sums = item_sums[keep], antecedent_sums[keep]
+        n_valid = stops - starts
+    else:
+        windows = [
+            (row, start, end + 1, n_valid)
+            for row in range(len(table))
+            for start, end, n_valid in maximal_valid_windows(
+                table.valid[row], min_frequency, min_coverage
+            )
+        ]
+        rows, starts, stops, n_valid = np.array(windows, dtype=np.int64).reshape(-1, 4).T
+        item_sums, antecedent_sums = table.window_sums(rows, starts, stops)
+    sizes = np.concatenate(([0], np.cumsum(context.unit_sizes)))
+    size_sums = sizes[stops] - sizes[starts]
+    n_units = stops - starts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        support = np.where(size_sums > 0, item_sums / np.maximum(size_sums, 1), 0.0)
+        confidence = np.where(
+            antecedent_sums > 0, item_sums / np.maximum(antecedent_sums, 1), 0.0
+        )
+    first = context.first_unit
+    periods: List[List[ValidPeriod]] = [[] for _ in range(len(table))]
+    for row, lo, hi, start, end, units, hits, frequency, supp, conf in zip(
+        rows.tolist(),
+        (first + starts).tolist(),
+        (first + stops - 1).tolist(),
+        unit_starts(first + starts, context.granularity).tolist(),
+        unit_starts(first + stops, context.granularity).tolist(),
+        n_units.tolist(),
+        n_valid.tolist(),
+        (n_valid / np.maximum(n_units, 1)).tolist(),
+        support.tolist(),
+        confidence.tolist(),
+    ):
+        # Positional in field order: keyword calls cost twice as much here.
+        periods[row].append(
+            ValidPeriod(TimeInterval(start, end), lo, hi, units, hits, frequency, supp, conf)
+        )
+    return [tuple(row) for row in periods]
 
 
 def periods_for_series(
@@ -109,31 +156,21 @@ def periods_for_series(
     context: TemporalContext,
     min_frequency: float,
     min_coverage: int,
-) -> List[ValidPeriod]:
-    """Materialize the maximal valid periods of one rule with measures."""
-    windows = maximal_valid_windows(series.valid, min_frequency, min_coverage)
-    periods: List[ValidPeriod] = []
-    for start_offset, end_offset, n_valid in windows:
-        mask = np.zeros(context.n_units, dtype=bool)
-        mask[start_offset : end_offset + 1] = True
-        n_units = end_offset - start_offset + 1
-        periods.append(
-            ValidPeriod(
-                interval=TimeInterval.from_units(
-                    context.to_absolute(start_offset),
-                    context.to_absolute(end_offset),
-                    context.granularity,
-                ),
-                first_unit=context.to_absolute(start_offset),
-                last_unit=context.to_absolute(end_offset),
-                n_units=n_units,
-                n_valid_units=n_valid,
-                frequency=n_valid / n_units,
-                temporal_support=series.temporal_support(context.unit_sizes, mask),
-                temporal_confidence=series.temporal_confidence(mask),
-            )
+) -> Tuple[ValidPeriod, ...]:
+    """The maximal valid periods of one rule with measures (empty if none).
+
+    The periods of the series' whole :class:`RuleTable` are computed on
+    the first call (:func:`_table_periods`); each later call hands out
+    its own row — an immutable tuple, shared, not a copy.
+    """
+    table = series.table
+    memo = (_table_periods, context, min_frequency, min_coverage)
+    periods = table.derived.get(memo)
+    if periods is None:
+        periods = table.derived[memo] = _table_periods(
+            table, context, min_frequency, min_coverage
         )
-    return periods
+    return periods[series.row]
 
 
 def discover_valid_periods(
@@ -205,7 +242,7 @@ def discover_valid_periods(
                         ValidPeriodRule(
                             key=series.key,
                             granularity=context.granularity,
-                            periods=tuple(periods),
+                            periods=periods,
                         )
                     )
     except RunInterrupted:

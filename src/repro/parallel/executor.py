@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columnar.backends import Candidates
 from repro.core.items import Itemset
 from repro.errors import MiningParameterError
 from repro.obs.logs import get_logger
@@ -330,7 +331,7 @@ class ShardedExecutor:
         self,
         encoded,
         bounds: np.ndarray,
-        candidates: Sequence[Itemset],
+        candidates: Candidates,
         counting: str,
         unit_mask: Optional[np.ndarray] = None,
         candidate_masks: Optional[np.ndarray] = None,
@@ -338,9 +339,10 @@ class ShardedExecutor:
     ) -> Optional[np.ndarray]:
         """Parallel candidate pass: the (n_candidates, n_units) matrix.
 
-        Rows align with ``candidates``; ``None`` means "count serially".
+        Rows align with ``candidates`` (itemsets or a level's id matrix);
+        ``None`` means "count serially".
         """
-        if not self.effective() or not candidates:
+        if not self.effective() or not len(candidates):
             return None
         shards = plan_shards(bounds, self.n_shards)
         if len(shards) < 2:
@@ -362,7 +364,7 @@ class ShardedExecutor:
             return pool.submit(
                 worker.count_candidates_shard,
                 task,
-                list(candidates),
+                candidates if isinstance(candidates, np.ndarray) else list(candidates),
                 counting,
                 shard_unit_mask,
                 shard_candidate_masks,

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.columnar.backends import get_backend
+from repro.columnar.backends import Candidates, get_backend
 from repro.columnar.encoded import EncodedDatabase, EncodedUnits
 from repro.columnar.perunit import count_candidates_per_unit, count_items_per_unit
-from repro.core.items import Itemset
 
 #: Injected worker failure modes (see WorkerFaultPlan in runtime.faultinject).
 FAULT_ERROR = "error"
@@ -132,7 +131,7 @@ def count_items_shard(task: ShardTask) -> np.ndarray:
 
 def count_candidates_shard(
     task: ShardTask,
-    candidates: Sequence[Itemset],
+    candidates: Candidates,
     counting: str,
     unit_mask: Optional[np.ndarray] = None,
     candidate_masks: Optional[np.ndarray] = None,

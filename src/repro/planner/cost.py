@@ -53,7 +53,7 @@ _W_BUILD = 25e-9  # one occurrence inserted into the bitmap index
 _W_WORD = 1.2e-9  # one uint64 AND+popcount lane
 _W_CAND = 110e-9  # per-candidate Python (zip/dict store), whole-segment bitmap kernels
 _W_GROUP = 5.0e-6  # per prefix-group Python overhead (vertical only)
-_W_CELL = 2.2e-6  # mining Python per locally frequent (itemset, unit) cell
+_W_CELL = 4.5e-7  # mining Python per locally frequent (itemset, unit) cell
 _PASS_FLOOR = 30e-6  # fixed per-pass dispatch overhead
 
 # Parallel execution overheads.

@@ -131,6 +131,27 @@ def unit_indices(stamps: np.ndarray, granularity: Granularity) -> np.ndarray:
     raise GranularityError(f"unhandled granularity {granularity!r}")
 
 
+def unit_starts(indices: np.ndarray, granularity: Granularity) -> np.ndarray:
+    """:func:`unit_start` of every unit index, as a ``datetime64[us]`` column.
+
+    The inverse of :func:`unit_indices`; ``.tolist()`` turns the column
+    into the same :class:`datetime` values the scalar function returns.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if granularity in _MONTHS_PER_UNIT:
+        months = indices * _MONTHS_PER_UNIT[granularity]
+        return months.view("datetime64[M]").astype("datetime64[us]")
+    if granularity is Granularity.HOUR:
+        micros = indices * _US_PER_HOUR
+    elif granularity is Granularity.DAY:
+        micros = indices * _US_PER_DAY
+    elif granularity is Granularity.WEEK:
+        micros = indices * (7 * _US_PER_DAY) - 3 * _US_PER_DAY
+    else:
+        raise GranularityError(f"unhandled granularity {granularity!r}")
+    return micros.view("datetime64[us]")
+
+
 def unit_start(index: int, granularity: Granularity) -> datetime:
     """The first instant of unit ``index`` (inclusive)."""
     if granularity is Granularity.HOUR:

@@ -17,7 +17,7 @@ from datetime import datetime, timedelta
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TemporalError
-from repro.temporal.granularity import Granularity, unit_bounds, unit_index
+from repro.temporal.granularity import Granularity, unit_bounds, unit_end, unit_index, unit_start
 
 
 @dataclass(frozen=True, order=True)
@@ -44,9 +44,7 @@ class TimeInterval:
             raise TemporalError(
                 f"last_unit {last_unit} precedes first_unit {first_unit}"
             )
-        start, _ = unit_bounds(first_unit, granularity)
-        _, end = unit_bounds(last_unit, granularity)
-        return cls(start, end)
+        return cls(unit_start(first_unit, granularity), unit_end(last_unit, granularity))
 
     @property
     def duration(self) -> timedelta:
