@@ -23,16 +23,15 @@ own PR 6 drain, then the processes exit.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 import tempfile
-import threading
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro.cluster.quota import TenantQuotas
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import FleetSupervisor, WorkerConfig
+from repro.httpkit import serve_until_signalled, write_port_file
 from repro.obs.logs import configure_logging
 from repro.obs.metrics import MetricsRegistry
 
@@ -241,38 +240,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     router.drain_retry_after = args.drain_deadline
     print(f"repro cluster router listening on {router.url}", file=sys.stderr)
     if args.port_file:
-        port_file = Path(args.port_file)
-        tmp = port_file.with_name(port_file.name + ".tmp")
-        tmp.write_text(f"{router.server_address[1]}\n")
-        tmp.replace(port_file)
+        write_port_file(args.port_file, router.server_address[1])
 
-    stop = threading.Event()
-
-    def _request_shutdown(signum, frame):  # noqa: ARG001 — signal API
-        print(
-            f"\nreceived {signal.Signals(signum).name}: draining fleet "
-            f"(deadline {args.drain_deadline:g}s)",
-            file=sys.stderr,
-        )
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-    serve_thread = threading.Thread(
-        target=router.serve_forever, name="repro-cluster-router", daemon=True
-    )
-    serve_thread.start()
-    try:
-        stop.wait()
-    finally:
+    def drain() -> None:
         # Admission stops first (the router answers 503 with an honest
         # Retry-After while workers land their jobs), then the fleet
         # drains, then the listener goes away.
         router.draining = True
-        summary = supervisor.drain()
-        print(f"fleet drain: {summary}", file=sys.stderr)
-        router.shutdown()
-        router.server_close()
+        print(f"\ndraining fleet (deadline {args.drain_deadline:g}s)", file=sys.stderr)
+        print(f"fleet drain: {supervisor.drain()}", file=sys.stderr)
+
+    serve_until_signalled(router, drain)
     return 0
 
 

@@ -63,13 +63,14 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from repro.cluster.hashring import rank_workers
 from repro.cluster.metrics import merge_expositions
 from repro.cluster.quota import TenantQuotas
+from repro.errors import AdmissionError, JobNotFoundError
+from repro.httpkit import JsonHTTPServer, JsonRequestHandler, RouteTable, json_object
 from repro.obs.distributed import (
     TraceContext,
     TraceStore,
@@ -127,7 +128,7 @@ def _canonical_query(text: str) -> str:
         return text
 
 
-class ClusterRouter(ThreadingHTTPServer):
+class ClusterRouter(JsonHTTPServer):
     """The fleet's single public address.
 
     Args:
@@ -142,9 +143,6 @@ class ClusterRouter(ThreadingHTTPServer):
             supervisor should share it so one scrape shows both).
     """
 
-    daemon_threads = True
-    request_queue_size = 128
-
     def __init__(
         self,
         fleet,
@@ -156,7 +154,6 @@ class ClusterRouter(ThreadingHTTPServer):
     ):
         self.fleet = fleet
         self.quotas = quotas if quotas is not None else TenantQuotas()
-        self.verbose = verbose
         self.draining = False
         self.drain_retry_after = 10.0
         self.started_at = time.time()
@@ -170,12 +167,12 @@ class ClusterRouter(ThreadingHTTPServer):
         #: trace_id -> worker_id of the worker that served the traced
         #: request (LRU, same cap/semantics as the job-affinity map).
         self._trace_affinity: "OrderedDict[str, str]" = OrderedDict()
-        self.m_requests = self.metrics.counter(
+        requests = self.metrics.counter(
             "repro_cluster_requests_total",
             "Requests through the router, by route and status.",
             labelnames=("route", "status"),
         )
-        self.m_request_seconds = self.metrics.histogram(
+        request_seconds = self.metrics.histogram(
             "repro_cluster_request_seconds",
             "Router request latency (incl. the proxied worker), by route.",
             labelnames=("route",),
@@ -199,12 +196,9 @@ class ClusterRouter(ThreadingHTTPServer):
             "repro_cluster_invalidation_fanout_total",
             "Cache-invalidation fanout calls sent to peer workers.",
         )
-        super().__init__((host, port), RouterRequestHandler)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
+        super().__init__(
+            (host, port), RouterRequestHandler, requests, request_seconds, verbose
+        )
 
     # ------------------------------------------------------------------
     # routing state
@@ -283,7 +277,7 @@ class ClusterRouter(ThreadingHTTPServer):
             response = connection.getresponse()
             payload = response.read()
             passthrough = {}
-            for name in ("Retry-After", "X-Repro-Worker", "Content-Type"):
+            for name in ("Retry-After", "X-Repro-Worker"):
                 value = response.headers.get(name)
                 if value is not None:
                     passthrough[name] = value
@@ -423,11 +417,7 @@ class ClusterRouter(ThreadingHTTPServer):
         except OSError:
             self.fleet.note_failure(worker.worker_id)
             return None, None
-        try:
-            document = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return status, None
-        return status, document if isinstance(document, dict) else None
+        return status, json_object(payload)
 
     def fleet_trace(self, trace_id: str) -> Optional[Dict[str, object]]:
         """One connected trace: router hop + the owning worker's subtree.
@@ -525,218 +515,87 @@ class ClusterRouter(ThreadingHTTPServer):
         return {"service": "repro-cluster-router", "workers": workers, "entries": entries}
 
 
-class RouterRequestHandler(BaseHTTPRequestHandler):
-    """Routes the public ``/v1`` API onto the worker fleet."""
+class RouterRequestHandler(JsonRequestHandler):
+    """The public ``/v1`` route table over the worker fleet."""
 
     server: ClusterRouter
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    # -- plumbing -------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            if name.lower() == "content-type":
-                continue
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self, status: int, payload: Dict, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        self._send(
-            status, json.dumps(payload).encode("utf-8"), headers=headers
-        )
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
-    def _job_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        if len(parts) == 3 and parts[0] == "v1" and parts[1] == "jobs":
-            return parts[2]
-        return None
-
-    def _trace_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        if len(parts) == 3 and parts[0] == "v1" and parts[1] == "traces":
-            return parts[2]
-        return None
-
-    def _query_params(self) -> Dict[str, str]:
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
-        return {
-            name: values[-1] for name, values in parse_qs(query).items()
-        }
-
-    def _route_label(self) -> str:
-        path = self.path.split("?", 1)[0]
-        if self._job_path_id() is not None:
-            return "/v1/jobs/{id}"
-        if self._trace_path_id() is not None:
-            return "/v1/traces/{id}"
-        if path in (
-            "/v1/status",
-            "/v1/metrics",
-            "/v1/query",
-            "/v1/transactions",
-            "/v1/cache/invalidate",
-            "/v1/traces",
-            "/v1/debug/slow",
-        ):
-            return path
-        return "(unknown)"
-
-    def _instrumented(self, handler) -> None:
-        route = self._route_label()
-        self._status = 0
-        self._trace_id: Optional[str] = None
-        started = time.perf_counter()
-        try:
-            handler()
-        finally:
-            self.server.m_requests.inc(route=route, status=str(self._status))
-            exemplar = (
-                {"trace_id": self._trace_id} if self._trace_id else None
-            )
-            self.server.m_request_seconds.observe(
-                time.perf_counter() - started, exemplar=exemplar, route=route
-            )
-
-    # -- verbs ----------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        self._instrumented(self._handle_get)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._instrumented(self._handle_delete)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._instrumented(self._handle_post)
 
     # -- control plane --------------------------------------------------
 
-    def _handle_get(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/v1/status":
-            self._send_json(200, self.server.status_document())
-            return
-        if path == "/v1/metrics":
-            try:
-                text = self.server.merged_metrics()
-            except ValueError as error:
-                self._send_json(502, {"error": f"metrics merge failed: {error}"})
-                return
-            self._send(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
-            return
-        trace_id = self._trace_path_id()
-        if trace_id is not None:
-            document = self.server.fleet_trace(trace_id)
-            if document is None:
-                self._send_json(404, {"error": f"no such trace: {trace_id}"})
-            else:
-                self._send_json(200, document)
-            return
-        if path == "/v1/traces":
-            params = self._query_params()
-            try:
-                min_ms = float(params.get("min_ms", 0.0))
-                limit = int(params.get("limit", 50))
-            except (TypeError, ValueError) as error:
-                self._send_json(400, {"error": f"bad query parameter: {error}"})
-                return
-            self._send_json(
-                200,
-                {"traces": self.server.fleet_traces(min_ms=min_ms, limit=limit)},
-            )
-            return
-        if path == "/v1/debug/slow":
-            self._send_json(200, self.server.fleet_slow())
-            return
-        job_id = self._job_path_id()
-        if job_id is not None:
-            self._proxy_job(job_id, "GET")
-            return
-        self._send_json(404, {"error": f"unknown path {path!r}"})
+    def get_status(self) -> None:
+        self.send_json(200, self.server.status_document())
 
-    def _handle_delete(self) -> None:
-        job_id = self._job_path_id()
-        if job_id is None:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+    def get_metrics(self) -> None:
+        try:
+            text = self.server.merged_metrics()
+        except ValueError as error:
+            self.send_json(502, {"error": f"metrics merge failed: {error}"})
             return
+        self.send_bytes(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
+
+    def get_trace(self, trace_id: str) -> None:
+        document = self.server.fleet_trace(trace_id)
+        if document is None:
+            raise JobNotFoundError(f"no such trace: {trace_id}")
+        self.send_json(200, document)
+
+    def get_traces(self) -> None:
+        min_ms, limit = self.trace_listing()
+        traces = self.server.fleet_traces(min_ms=min_ms, limit=limit)
+        self.send_json(200, {"traces": traces})
+
+    def get_slow(self) -> None:
+        self.send_json(200, self.server.fleet_slow())
+
+    def get_job(self, job_id: str) -> None:
+        self._proxy_job(job_id, "GET")
+
+    def delete_job(self, job_id: str) -> None:
         self._proxy_job(job_id, "DELETE")
+
+    def post_invalidate(self) -> None:
+        fingerprint = self.read_json().get("fingerprint")
+        if not isinstance(fingerprint, str) or not fingerprint.strip():
+            raise ValueError('missing required string field "fingerprint"')
+        reached = self.server.fan_out_invalidation(fingerprint)
+        self.send_json(200, {"fingerprint": fingerprint, "workers_reached": reached})
 
     # -- data plane -----------------------------------------------------
 
-    def _handle_post(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/v1/cache/invalidate":
-            self._handle_invalidate()
-            return
-        if path not in ("/v1/query", "/v1/transactions"):
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-            return
-        if self.server.draining:
-            self._send_json(
-                503,
-                {"error": "cluster is draining for shutdown"},
-                headers={
-                    "Retry-After": str(
-                        max(1, int(round(self.server.drain_retry_after)))
-                    )
-                },
-            )
-            return
-        body = self._read_body()
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as error:
-            self._send_json(400, {"error": f"invalid JSON body: {error}"})
-            return
-        tenant = self.headers.get("X-Tenant")
-        decision = self.server.quotas.admit(tenant)
-        if not decision.admitted:
-            self.server.m_quota_rejected.inc(tenant=decision.tenant)
-            self._send_json(
-                429,
-                {
-                    "error": (
-                        f"tenant {decision.tenant!r} is over its quota"
-                    ),
-                    "tenant": decision.tenant,
-                },
-                headers={
-                    "Retry-After": f"{max(decision.retry_after, 0.001):.3f}"
-                },
-            )
-            return
-        if path == "/v1/query":
-            self._proxy_query(payload, body)
-        else:
-            self._proxy_append(payload, body)
+    def _admit(self) -> Optional[Dict]:
+        """The data-plane body, or ``None`` once a 429 went out.
 
-    def _proxy_query(self, payload: Dict, body: bytes) -> None:
+        A draining router refuses new work (503 with the drain deadline
+        as ``Retry-After``); a tenant over its token bucket gets 429
+        *before* the request consumes a worker.
+        """
+        payload = self.read_json()
+        if self.server.draining:
+            raise AdmissionError(
+                "cluster is draining for shutdown",
+                retry_after=self.server.drain_retry_after,
+            )
+        decision = self.server.quotas.admit(self.headers.get("X-Tenant"))
+        if decision.admitted:
+            return payload
+        self.server.m_quota_rejected.inc(tenant=decision.tenant)
+        self.send_json(
+            429,
+            {
+                "error": f"tenant {decision.tenant!r} is over its quota",
+                "tenant": decision.tenant,
+            },
+            headers={"Retry-After": f"{max(decision.retry_after, 0.001):.3f}"},
+        )
+        return None
+
+    def post_query(self) -> None:
+        payload = self._admit()
+        if payload is None:
+            return
         query = payload.get("query")
         routing_query = _canonical_query(query) if isinstance(query, str) else ""
         key = f"{self.server.fingerprint()}\x00{routing_query}"
-        idempotent = bool(payload.get("idempotency_key"))
         timeout = SYNC_WAIT_SECONDS
         try:
             timeout = float(payload.get("timeout", SYNC_WAIT_SECONDS))
@@ -753,26 +612,23 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             context = parent.child()
         elif payload.get("trace"):
             context = new_trace_context()
-        trace_headers = (
-            {"traceparent": context.to_traceparent()}
-            if context is not None
-            else None
-        )
         started = time.perf_counter()
-        status, headers, response = self._proxy_with_failover(
-            "POST",
+        proxied = self._proxy_with_failover(
             "/v1/query",
-            body,
             key=key,
-            idempotent=idempotent,
+            idempotent=bool(payload.get("idempotency_key")),
             timeout=timeout + SYNC_GRACE_SECONDS,
-            route="/v1/query",
-            headers=trace_headers,
+            headers=(
+                {"traceparent": context.to_traceparent()}
+                if context is not None
+                else None
+            ),
         )
-        if status is None:
+        if proxied is None:
             return
+        status, headers, response = proxied
         served_by = headers.get("X-Repro-Worker")
-        document = self._maybe_json(response)
+        document = json_object(response)
         job_id: Optional[str] = None
         if document is not None:
             job_id = (
@@ -783,7 +639,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             if job_id and served_by:
                 self.server.record_job(job_id, served_by)
         if context is not None:
-            self._trace_id = context.trace_id
+            self.trace_id = context.trace_id
             self.server.record_router_trace(
                 context,
                 route="/v1/query",
@@ -800,25 +656,25 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                 old = result.get("old_fingerprint")
                 if isinstance(old, str) and old:
                     self.server.fan_out_invalidation(old, except_worker=served_by)
-        self._send(status, response, headers=headers)
+        self.send_bytes(status, response, headers=headers)
 
-    def _proxy_append(self, payload: Dict, body: bytes) -> None:
+    def post_transactions(self) -> None:
+        payload = self._admit()
+        if payload is None:
+            return
         # Appends route on a stable per-store key (NOT the fingerprint,
         # which the append itself is about to change): one worker owns
         # the hot PR 8 delta-fold chain.
-        idempotent = bool(payload.get("idempotency_key"))
-        status, headers, response = self._proxy_with_failover(
-            "POST",
+        proxied = self._proxy_with_failover(
             "/v1/transactions",
-            body,
             key="store-append",
-            idempotent=idempotent,
+            idempotent=bool(payload.get("idempotency_key")),
             timeout=APPEND_TIMEOUT_SECONDS,
-            route="/v1/transactions",
         )
-        if status is None:
+        if proxied is None:
             return
-        document = self._maybe_json(response)
+        status, headers, response = proxied
+        document = json_object(response)
         if document is not None and document.get("applied"):
             served_by = headers.get("X-Repro-Worker")
             old = document.get("old_fingerprint")
@@ -826,22 +682,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             self.server.note_fingerprint(new if isinstance(new, str) else None)
             if isinstance(old, str) and old and old != new:
                 self.server.fan_out_invalidation(old, except_worker=served_by)
-        self._send(status, response, headers=headers)
-
-    def _handle_invalidate(self) -> None:
-        body = self._read_body()
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            fingerprint = payload.get("fingerprint")
-            if not isinstance(fingerprint, str) or not fingerprint.strip():
-                raise ValueError('missing required string field "fingerprint"')
-        except (ValueError, UnicodeDecodeError) as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        reached = self.server.fan_out_invalidation(fingerprint)
-        self._send_json(
-            200, {"fingerprint": fingerprint, "workers_reached": reached}
-        )
+        self.send_bytes(status, response, headers=headers)
 
     def _proxy_job(self, job_id: str, method: str) -> None:
         """Affinity-first job routing with ranked failover.
@@ -865,12 +706,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             else:
                 owner_down = True
         if not candidates:
-            self._send_json(
-                503,
-                {"error": "no healthy workers"},
-                headers={"Retry-After": "1"},
-            )
-            return
+            raise AdmissionError("no healthy workers")
         attempted = False
         for index, worker in enumerate(candidates):
             if index:
@@ -895,65 +731,44 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                 # Only the owner's 404 is authoritative — any other
                 # worker has simply never heard of the job; keep looking.
                 continue
-            self._send(status, response, headers=headers)
+            self.send_bytes(status, response, headers=headers)
             return
         if owner_down or not attempted:
-            self._send_json(
-                503,
-                {
-                    "error": (
-                        f"job {job_id!r} is owned by a worker that is "
-                        f"restarting; retry shortly"
-                    )
-                },
-                headers={
-                    "Retry-After": str(OWNER_RESTART_RETRY_AFTER)
-                },
+            raise AdmissionError(
+                f"job {job_id!r} is owned by a worker that is restarting; "
+                "retry shortly",
+                retry_after=OWNER_RESTART_RETRY_AFTER,
             )
-            return
-        self._send_json(404, {"error": f"no such job: {job_id}"})
+        raise JobNotFoundError(f"no such job: {job_id}")
 
     def _proxy_with_failover(
         self,
-        method: str,
-        path: str,
-        body: bytes,
+        route: str,
         key: str,
         idempotent: bool,
         timeout: float,
-        route: str,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[Optional[int], Dict[str, str], bytes]:
-        """Proxy to the rendezvous-preferred worker, failing over.
-
-        Returns ``(None, {}, b"")`` after having already sent an error
-        response (no healthy workers / non-idempotent transport death).
-        """
+    ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
+        """POST the request body to the rendezvous-preferred worker,
+        failing over; ``None`` after a 502 went out (a keyless request
+        died on the wire and must not be blindly retried)."""
         candidates = self.server.preference(key)
         if not candidates:
-            self._send_json(
-                503,
-                {"error": "no healthy workers"},
-                headers={"Retry-After": "1"},
-            )
-            return None, {}, b""
+            raise AdmissionError("no healthy workers")
         for index, worker in enumerate(candidates):
             if index:
                 self.server.m_failovers.inc(route=route)
             try:
                 return self.server.proxy(
-                    worker, method, path, body, timeout, headers=headers
+                    worker, "POST", route, self.body, timeout, headers=headers
                 )
             except OSError as error:
                 self.server.fleet.note_failure(worker.worker_id)
                 logger.warning(
-                    "proxy to %s failed (%s): %s",
-                    worker.worker_id,
-                    path,
-                    error,
+                    "proxy to %s failed (%s): %s", worker.worker_id, route, error
                 )
                 if not idempotent:
-                    self._send_json(
+                    self.send_json(
                         502,
                         {
                             "error": (
@@ -963,21 +778,23 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                             )
                         },
                     )
-                    return None, {}, b""
-        self._send_json(
-            503,
-            {"error": "all workers failed; fleet is restarting"},
-            headers={"Retry-After": "1"},
-        )
-        return None, {}, b""
+                    return None
+        raise AdmissionError("all workers failed; fleet is restarting")
 
-    @staticmethod
-    def _maybe_json(response: bytes) -> Optional[Dict]:
-        try:
-            document = json.loads(response.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        return document if isinstance(document, dict) else None
+    routes = RouteTable(
+        [
+            ("GET", "/v1/status", get_status),
+            ("GET", "/v1/metrics", get_metrics),
+            ("GET", "/v1/traces/{id}", get_trace),
+            ("GET", "/v1/traces", get_traces),
+            ("GET", "/v1/debug/slow", get_slow),
+            ("GET", "/v1/jobs/{id}", get_job),
+            ("DELETE", "/v1/jobs/{id}", delete_job),
+            ("POST", "/v1/query", post_query),
+            ("POST", "/v1/transactions", post_transactions),
+            ("POST", "/v1/cache/invalidate", post_invalidate),
+        ]
+    )
 
 
 def start_router(
@@ -997,8 +814,4 @@ def start_router(
         metrics=metrics,
         verbose=verbose,
     )
-    thread = threading.Thread(
-        target=router.serve_forever, name="repro-cluster-router", daemon=True
-    )
-    thread.start()
-    return router, thread
+    return router, router.serve_in_background()

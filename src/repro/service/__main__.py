@@ -26,13 +26,11 @@ journaled and resume when the service is next started on the same
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.db.sqlite_store import SqliteStore
+from repro.httpkit import serve_until_signalled, write_port_file
 from repro.obs.logs import configure_logging
 from repro.runtime.budget import RunBudget
 from repro.service.core import MiningService, ServiceConfig
@@ -272,43 +270,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(f"repro mining service listening on {server.url}", file=sys.stderr)
     if args.port_file:
-        # Written atomically (tmp + rename): a supervisor polling the
-        # path must never read a half-written port.
-        port_file = Path(args.port_file)
-        tmp = port_file.with_name(port_file.name + ".tmp")
-        tmp.write_text(f"{server.server_address[1]}\n")
-        tmp.replace(port_file)
+        write_port_file(args.port_file, server.server_address[1])
     print("endpoints: POST /v1/query  GET /v1/jobs/{id}  "
           "DELETE /v1/jobs/{id}  GET /v1/status  GET /v1/metrics",
           file=sys.stderr)
 
-    # The HTTP server runs on a background thread so the main thread
-    # can own signal handling: on SIGTERM/SIGINT it drains the service
-    # while the API keeps answering (503 for new work, 200 for polls),
-    # then stops the listener.
-    stop = threading.Event()
+    def drain() -> None:
+        print(f"\ndraining (deadline {args.drain_deadline:g}s)", file=sys.stderr)
+        print(f"drain: {service.drain()}", file=sys.stderr)
 
-    def _request_shutdown(signum, frame):  # noqa: ARG001 — signal API
-        print(
-            f"\nreceived {signal.Signals(signum).name}: draining "
-            f"(deadline {args.drain_deadline:g}s)",
-            file=sys.stderr,
-        )
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-    serve_thread = threading.Thread(
-        target=server.serve_forever, name="repro-service-http", daemon=True
-    )
-    serve_thread.start()
     try:
-        stop.wait()
+        serve_until_signalled(server, drain)
     finally:
-        summary = service.drain()
-        print(f"drain: {summary}", file=sys.stderr)
-        server.shutdown()
-        server.server_close()
         store.close()
     return 0
 

@@ -38,7 +38,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import uuid
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import (
     AdmissionError,
@@ -120,7 +120,11 @@ class ServiceClient:
         payload: Optional[Dict] = None,
         timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Dict:
+        text: bool = False,
+    ) -> Any:
+        """One HTTP exchange: the decoded JSON document (the raw text
+        with ``text=True``); error statuses raise or, for 422/504,
+        return the job record they carry."""
         body = json.dumps(payload).encode("utf-8") if payload is not None else None
         request_headers: Dict[str, str] = dict(headers) if headers else {}
         if body:
@@ -134,7 +138,8 @@ class ServiceClient:
         socket_timeout = timeout if timeout is not None else self.timeout
         try:
             with urllib.request.urlopen(request, timeout=socket_timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                raw = response.read().decode("utf-8")
+                return raw if text else json.loads(raw)
         except urllib.error.HTTPError as error:
             try:
                 document = json.loads(error.read().decode("utf-8"))
@@ -165,7 +170,8 @@ class ServiceClient:
         payload: Optional[Dict] = None,
         timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Dict:
+        text: bool = False,
+    ) -> Any:
         """One API call through the retry loop.
 
         503s are always retryable (the job was never admitted).
@@ -180,7 +186,9 @@ class ServiceClient:
         schedule = self.retry_policy.delays(self._rng)
         while True:
             try:
-                return self._request_once(method, path, payload, timeout, headers)
+                return self._request_once(
+                    method, path, payload, timeout, headers, text
+                )
             except AdmissionError as error:
                 delay = next(schedule, None)
                 if delay is None:
@@ -193,24 +201,6 @@ class ServiceClient:
                 delay = None if not transport_retryable else next(schedule, None)
                 if delay is None:
                     raise
-                self._sleep(delay)
-
-    def _request_text(self, method: str, path: str) -> str:
-        """Fetch a non-JSON endpoint (the Prometheus exposition)."""
-        schedule = self.retry_policy.delays(self._rng)
-        while True:
-            request = urllib.request.Request(self.base_url + path, method=method)
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return response.read().decode("utf-8")
-            except urllib.error.HTTPError as error:
-                raise ServiceError(f"HTTP {error.code}: {error.reason}") from None
-            except _TRANSPORT_ERRORS as error:
-                delay = next(schedule, None)
-                if delay is None:
-                    raise ServiceUnreachableError(
-                        f"cannot reach {self.base_url}: {error}"
-                    ) from None
                 self._sleep(delay)
 
     # ------------------------------------------------------------------
@@ -352,7 +342,7 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """The service metrics in Prometheus text exposition format."""
-        return self._request_text("GET", "/v1/metrics")
+        return self._request("GET", "/v1/metrics", text=True)
 
     def trace(self, trace_id: str) -> Dict:
         """Fetch one stored trace document by trace id.

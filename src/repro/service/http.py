@@ -62,34 +62,23 @@ Endpoints (all JSON):
     The service's metrics registry in Prometheus text exposition
     format 0.0.4 (scrapeable; see :mod:`repro.obs.metrics`).
 
-Error mapping: malformed requests → 400, unknown jobs → 404,
-admission rejection → 503 (with ``Retry-After`` — honest when the
-service is draining for shutdown, where it reflects the drain
-deadline), sync timeout → 504 (with the job id, so the client can keep
-polling), statement errors → 422 on the job record / response.
-
-Every request is itself metered: ``repro_http_requests_total``
+Errors map to statuses in one place, :mod:`repro.httpkit` (400 / 404 /
+503 with an honest ``Retry-After`` / 500); this module adds the two
+job-record answers: sync timeout → 504 (with the job id, so the client
+can keep polling) and statement errors → 422, both carrying the record.
+Every request is metered there too, into ``repro_http_requests_total``
 (method/route/status) and the per-route ``repro_http_request_seconds``
-latency histogram.  Job paths collapse to the ``/v1/jobs/{id}`` route
-label so cardinality stays bounded.
+latency histogram.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from datetime import datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs
 
-from repro.errors import (
-    AdmissionError,
-    JobNotFoundError,
-    MiningParameterError,
-    ReproError,
-)
+from repro.errors import JobNotFoundError, MiningParameterError
+from repro.httpkit import JsonHTTPServer, JsonRequestHandler, RouteTable
 from repro.obs.distributed import parse_traceparent
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.runtime.budget import RunBudget
@@ -114,339 +103,150 @@ def budget_from_request(spec: Optional[Dict]) -> Optional[RunBudget]:
     return RunBudget.from_dict(spec)
 
 
-class MiningRequestHandler(BaseHTTPRequestHandler):
-    """Routes the ``/v1`` API onto the owning server's service."""
+def _idempotency_key(payload: Dict) -> Optional[str]:
+    key = payload.get("idempotency_key")
+    if key is not None and (not isinstance(key, str) or not key.strip()):
+        raise ValueError('"idempotency_key" must be a non-empty string')
+    return key
+
+
+def _job_document(job) -> Dict:
+    record = job.to_dict()
+    if job.started_at is not None and job.finished_at is not None:
+        record["elapsed_seconds"] = job.finished_at - job.started_at
+    return record
+
+
+class MiningRequestHandler(JsonRequestHandler):
+    """The ``/v1`` route table over the owning server's service."""
 
     server: "MiningHTTPServer"
-    protocol_version = "HTTP/1.1"
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(
-        self, status: int, payload: Dict, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        self._send_bytes(
-            status, json.dumps(payload).encode("utf-8"), "application/json", headers
-        )
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_bytes(status, text.encode("utf-8"), content_type)
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+    def end_headers(self) -> None:
         # Every response names the process that served it, so a cluster
         # router (and the load-gen report behind it) can attribute
         # latency to a specific worker without re-parsing bodies.
         self.send_header("X-Repro-Worker", self.server.service.worker_label)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        super().end_headers()
 
-    def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise ValueError(f"request body is not valid JSON: {error}") from error
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
+    def get_status(self) -> None:
+        self.send_json(200, self.server.service.status())
 
-    def _job_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        if len(parts) == 3 and parts[0] == "v1" and parts[1] == "jobs":
-            return parts[2]
-        return None
+    def get_metrics(self) -> None:
+        text = self.server.service.metrics.render_prometheus()
+        self.send_bytes(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
 
-    def _trace_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        if len(parts) == 3 and parts[0] == "v1" and parts[1] == "traces":
-            return parts[2]
-        return None
+    def get_trace(self, trace_id: str) -> None:
+        document = self.server.service.trace(trace_id)
+        if document is None:
+            raise JobNotFoundError(f"no such trace: {trace_id!r}")
+        self.send_json(200, document)
 
-    def _query_params(self) -> Dict[str, str]:
-        """Flattened (last value wins) query-string parameters."""
-        if "?" not in self.path:
-            return {}
-        return {
-            key: values[-1]
-            for key, values in parse_qs(self.path.split("?", 1)[1]).items()
-        }
+    def get_traces(self) -> None:
+        min_ms, limit = self.trace_listing()
+        traces = self.server.service.list_traces(min_ms=min_ms, limit=limit)
+        self.send_json(200, {"traces": traces})
 
-    @staticmethod
-    def _job_document(job) -> Dict:
-        record = job.to_dict()
-        if job.started_at is not None and job.finished_at is not None:
-            record["elapsed_seconds"] = job.finished_at - job.started_at
-        return record
+    def get_slow(self) -> None:
+        self.send_json(200, self.server.service.slow_queries())
 
-    def _route_label(self) -> str:
-        """The bounded-cardinality route label for HTTP metrics."""
-        path = self.path.split("?", 1)[0]
-        if self._job_path_id() is not None:
-            return "/v1/jobs/{id}"
-        if self._trace_path_id() is not None:
-            return "/v1/traces/{id}"
-        if path in (
-            "/v1/status",
-            "/v1/metrics",
-            "/v1/query",
-            "/v1/transactions",
-            "/v1/traces",
-            "/v1/debug/slow",
-            "/v1/cache/invalidate",
-        ):
-            return path
-        return "(unknown)"
+    def get_job(self, job_id: str) -> None:
+        self.send_json(200, _job_document(self.server.service.job(job_id)))
 
-    def _instrumented(self, method: str, handler) -> None:
-        """Run a route handler, metering request count and latency.
+    def delete_job(self, job_id: str) -> None:
+        self.send_json(200, _job_document(self.server.service.cancel(job_id)))
 
-        A handler that resolved a trace id for the request (a traced
-        sync query) leaves it in ``self._trace_id``; it becomes the
-        latency histogram's exemplar, linking the bucket the request
-        landed in to the one concrete trace that explains it.
-        """
-        route = self._route_label()
-        self._status = 0
-        self._trace_id: Optional[str] = None
-        started = time.perf_counter()
-        try:
-            handler()
-        finally:
-            elapsed = time.perf_counter() - started
-            self.server.m_requests.inc(
-                method=method, route=route, status=str(self._status)
-            )
-            exemplar = (
-                {"trace_id": self._trace_id} if self._trace_id else None
-            )
-            self.server.m_request_seconds.observe(
-                elapsed, exemplar=exemplar, route=route
-            )
-
-    # ------------------------------------------------------------------
-    # routes
-    # ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        self._instrumented("GET", self._handle_get)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._instrumented("DELETE", self._handle_delete)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._instrumented("POST", self._handle_post)
-
-    def _handle_get(self) -> None:
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/v1/status":
-                self._send_json(200, self.server.service.status())
-                return
-            if path == "/v1/metrics":
-                self._send_text(
-                    200,
-                    self.server.service.metrics.render_prometheus(),
-                    PROMETHEUS_CONTENT_TYPE,
-                )
-                return
-            trace_id = self._trace_path_id()
-            if trace_id is not None:
-                document = self.server.service.trace(trace_id)
-                if document is None:
-                    self._send_json(404, {"error": f"no such trace: {trace_id!r}"})
-                else:
-                    self._send_json(200, document)
-                return
-            if path == "/v1/traces":
-                params = self._query_params()
-                try:
-                    min_ms = float(params.get("min_ms", 0.0))
-                    limit = int(params.get("limit", 50))
-                except (TypeError, ValueError) as error:
-                    self._send_json(400, {"error": f"bad query parameter: {error}"})
-                    return
-                traces = self.server.service.list_traces(min_ms=min_ms, limit=limit)
-                self._send_json(200, {"traces": traces})
-                return
-            if path == "/v1/debug/slow":
-                self._send_json(200, self.server.service.slow_queries())
-                return
-            job_id = self._job_path_id()
-            if job_id is not None:
-                job = self.server.service.job(job_id)
-                self._send_json(200, self._job_document(job))
-                return
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-        except JobNotFoundError as error:
-            self._send_json(404, {"error": str(error)})
-        except ReproError as error:
-            self._send_json(500, {"error": str(error)})
-
-    def _handle_delete(self) -> None:
-        job_id = self._job_path_id()
-        if job_id is None:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            job = self.server.service.cancel(job_id)
-        except JobNotFoundError as error:
-            self._send_json(404, {"error": str(error)})
-            return
-        self._send_json(200, self._job_document(job))
-
-    def _handle_post(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/v1/transactions":
-            self._handle_append()
-            return
-        if path == "/v1/cache/invalidate":
-            self._handle_invalidate()
-            return
-        if path != "/v1/query":
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-            return
-        try:
-            payload = self._read_json()
-            query = payload.get("query")
-            if not isinstance(query, str) or not query.strip():
-                raise ValueError('missing required string field "query"')
-            priority = int(payload.get("priority", 0))
-            budget = budget_from_request(payload.get("budget"))
-            wants_async = bool(payload.get("async", False))
-            # Tracing turns on via the body flag OR a propagated W3C
-            # traceparent header; the header additionally carries the
-            # upstream trace id, so this worker's spans join the
-            # caller's trace instead of starting a fresh one.  (An
-            # invalid header is dropped per spec — the trace restarts.)
-            trace: object = bool(payload.get("trace", False))
-            parent = parse_traceparent(self.headers.get("traceparent"))
-            if parent is not None:
-                trace = parent.child()
-            timeout = float(payload.get("timeout", SYNC_TIMEOUT_SECONDS))
-            idempotency_key = payload.get("idempotency_key")
-            if idempotency_key is not None and (
-                not isinstance(idempotency_key, str) or not idempotency_key.strip()
-            ):
-                raise ValueError('"idempotency_key" must be a non-empty string')
-        except (ValueError, TypeError, MiningParameterError) as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        try:
-            job = self.server.service.submit(
-                query,
-                priority=priority,
-                budget=budget,
-                trace=trace,
-                idempotency_key=idempotency_key,
-            )
-        except AdmissionError as error:
-            retry_after = getattr(error, "retry_after", None)
-            header = str(max(1, int(round(retry_after)))) if retry_after else "1"
-            self._send_json(
-                503, {"error": str(error)}, headers={"Retry-After": header}
-            )
-            return
-        except ReproError as error:
-            self._send_json(500, {"error": str(error)})
-            return
+    def post_query(self) -> None:
+        payload = self.read_json()
+        query = payload.get("query")
+        if not isinstance(query, str) or not query.strip():
+            raise ValueError('missing required string field "query"')
+        priority = int(payload.get("priority", 0))
+        budget = budget_from_request(payload.get("budget"))
+        wants_async = bool(payload.get("async", False))
+        # Tracing turns on via the body flag OR a propagated W3C
+        # traceparent header; the header additionally carries the
+        # upstream trace id, so this worker's spans join the caller's
+        # trace instead of starting a fresh one.  (An invalid header is
+        # dropped per spec — the trace restarts.)
+        trace: object = bool(payload.get("trace", False))
+        parent = parse_traceparent(self.headers.get("traceparent"))
+        if parent is not None:
+            trace = parent.child()
+        timeout = float(payload.get("timeout", SYNC_TIMEOUT_SECONDS))
+        job = self.server.service.submit(
+            query,
+            priority=priority,
+            budget=budget,
+            trace=trace,
+            idempotency_key=_idempotency_key(payload),
+        )
         if wants_async:
-            self._send_json(202, self._job_document(job))
+            self.send_json(202, _job_document(job))
             return
         job.wait(timeout)
-        self._trace_id = job.trace_id
-        document = self._job_document(job)
-        if job.state == "failed":
-            self._send_json(422, document)
-        elif job.state in ("queued", "running"):
-            self._send_json(504, document)
-        else:
-            self._send_json(200, document)
+        self.trace_id = job.trace_id
+        # A failed statement answers 422 and an unfinished wait 504; both
+        # carry the job record, so the id stays pollable.
+        status = {"failed": 422, "queued": 504, "running": 504}.get(job.state, 200)
+        self.send_json(status, _job_document(job))
 
-    def _handle_append(self) -> None:
-        """``POST /v1/transactions`` — stream a batch into the store."""
-        try:
-            payload = self._read_json()
-            entries = payload.get("transactions")
-            if not isinstance(entries, list):
-                raise ValueError('missing required array field "transactions"')
-            idempotency_key = payload.get("idempotency_key")
-            if idempotency_key is not None and (
-                not isinstance(idempotency_key, str) or not idempotency_key.strip()
-            ):
-                raise ValueError('"idempotency_key" must be a non-empty string')
-            batch = []
-            for entry in entries:
-                if not isinstance(entry, dict) or "ts" not in entry:
-                    raise ValueError(
-                        'each transaction must be an object with "ts" and "items"'
-                    )
-                timestamp = datetime.fromisoformat(str(entry["ts"]))
-                items = entry.get("items")
-                if not isinstance(items, list) or not items:
-                    raise ValueError(
-                        'each transaction needs a non-empty "items" array'
-                    )
-                tid = entry.get("tid")
-                if tid is not None:
-                    tid = int(tid)
-                batch.append((timestamp, [str(item) for item in items], tid))
-        except (ValueError, TypeError) as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        try:
-            outcome = self.server.service.append_transactions(
-                batch, idempotency_key=idempotency_key
-            )
-        except ReproError as error:
-            self._send_json(500, {"error": str(error)})
-            return
-        self._send_json(200, outcome)
+    def post_transactions(self) -> None:
+        """Stream a batch of transactions into the store."""
+        payload = self.read_json()
+        entries = payload.get("transactions")
+        if not isinstance(entries, list):
+            raise ValueError('missing required array field "transactions"')
+        idempotency_key = _idempotency_key(payload)
+        batch = []
+        for entry in entries:
+            if not isinstance(entry, dict) or "ts" not in entry:
+                raise ValueError(
+                    'each transaction must be an object with "ts" and "items"'
+                )
+            timestamp = datetime.fromisoformat(str(entry["ts"]))
+            items = entry.get("items")
+            if not isinstance(items, list) or not items:
+                raise ValueError('each transaction needs a non-empty "items" array')
+            tid = entry.get("tid")
+            if tid is not None:
+                tid = int(tid)
+            batch.append((timestamp, [str(item) for item in items], tid))
+        outcome = self.server.service.append_transactions(
+            batch, idempotency_key=idempotency_key
+        )
+        self.send_json(200, outcome)
 
-    def _handle_invalidate(self) -> None:
-        """``POST /v1/cache/invalidate`` — drop one fingerprint's entries.
+    def post_invalidate(self) -> None:
+        """Drop one fingerprint's cache entries.
 
         The cluster fanout surface: a peer worker mutated the shared
         store, and the router tells this process to retire its memory
         tier's entries for the superseded fingerprint.
         """
-        try:
-            payload = self._read_json()
-            fingerprint = payload.get("fingerprint")
-            if not isinstance(fingerprint, str) or not fingerprint.strip():
-                raise ValueError('missing required string field "fingerprint"')
-        except (ValueError, TypeError) as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        try:
-            removed = self.server.service.invalidate_fingerprint(fingerprint)
-        except ReproError as error:
-            self._send_json(500, {"error": str(error)})
-            return
-        self._send_json(200, {"invalidated": removed, "fingerprint": fingerprint})
+        fingerprint = self.read_json().get("fingerprint")
+        if not isinstance(fingerprint, str) or not fingerprint.strip():
+            raise ValueError('missing required string field "fingerprint"')
+        removed = self.server.service.invalidate_fingerprint(fingerprint)
+        self.send_json(200, {"invalidated": removed, "fingerprint": fingerprint})
+
+    routes = RouteTable(
+        [
+            ("GET", "/v1/status", get_status),
+            ("GET", "/v1/metrics", get_metrics),
+            ("GET", "/v1/traces/{id}", get_trace),
+            ("GET", "/v1/traces", get_traces),
+            ("GET", "/v1/debug/slow", get_slow),
+            ("GET", "/v1/jobs/{id}", get_job),
+            ("DELETE", "/v1/jobs/{id}", delete_job),
+            ("POST", "/v1/query", post_query),
+            ("POST", "/v1/transactions", post_transactions),
+            ("POST", "/v1/cache/invalidate", post_invalidate),
+        ]
+    )
 
 
-class MiningHTTPServer(ThreadingHTTPServer):
+class MiningHTTPServer(JsonHTTPServer):
     """A threading HTTP server bound to one :class:`MiningService`.
 
     ``port=0`` binds an ephemeral port (tests); the resolved address is
@@ -454,12 +254,6 @@ class MiningHTTPServer(ThreadingHTTPServer):
     closing the server stops accepting requests, the caller shuts the
     service down.
     """
-
-    daemon_threads = True
-    # The socketserver default backlog (5) resets connections under
-    # modest client fan-in; the scheduler, not the socket, is the
-    # intended admission-control point.
-    request_queue_size = 128
 
     def __init__(
         self,
@@ -469,29 +263,27 @@ class MiningHTTPServer(ThreadingHTTPServer):
         verbose: bool = False,
     ):
         self.service = service
-        self.verbose = verbose
         # Registered up front, not lazily per request: the families are
         # always present in the exposition, and the per-request path is
         # two lock-free attribute reads instead of a registry lookup.
-        self.m_requests = service.metrics.counter(
-            "repro_http_requests_total",
-            "API requests served, by method, route and status.",
-            labelnames=("method", "route", "status"),
+        super().__init__(
+            (host, port),
+            MiningRequestHandler,
+            requests=service.metrics.counter(
+                "repro_http_requests_total",
+                "API requests served, by method, route and status.",
+                labelnames=("method", "route", "status"),
+            ),
+            request_seconds=service.metrics.histogram(
+                "repro_http_request_seconds",
+                "API request latency, by route.",
+                labelnames=("route",),
+            ),
+            verbose=verbose,
         )
-        self.m_request_seconds = service.metrics.histogram(
-            "repro_http_request_seconds",
-            "API request latency, by route.",
-            labelnames=("route",),
-        )
-        super().__init__((host, port), MiningRequestHandler)
         # ``port=0`` resolves only at bind time; advertise the real one
         # so ``/v1/status`` identity (and cluster port files) are honest.
         service.advertised_port = int(self.server_address[1])
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
 
 def start_server(
@@ -502,8 +294,4 @@ def start_server(
 ) -> Tuple[MiningHTTPServer, threading.Thread]:
     """Start a server on a background thread; returns (server, thread)."""
     server = MiningHTTPServer(service, host=host, port=port, verbose=verbose)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-service-http", daemon=True
-    )
-    thread.start()
-    return server, thread
+    return server, server.serve_in_background()

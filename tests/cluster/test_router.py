@@ -15,6 +15,7 @@ from repro.cluster.router import _canonical_query, start_router
 from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
 from repro.service.client import ServiceClient
 
+from ..service.test_http import MALFORMED_REQUESTS, metered_statuses, raw_exchange
 from .conftest import InProcWorker, StaticFleet
 
 MINE_QUERY = (
@@ -303,6 +304,39 @@ def _request_raw_metrics(router_url):
         return response.status, dict(response.headers), response.read().decode(
             "utf-8"
         )
+
+
+class TestMalformedRequests:
+    def test_malformed_requests_answer_400_without_hanging(self, routed):
+        """Regression: a bad ``Content-Length`` used to hang the router
+        thread (``-1``) or drop the connection unanswered (``abc``, or a
+        JSON array posted to the invalidation fanout), metered as
+        ``status="0"``."""
+        router, _, _ = routed
+        for path, length, body in MALFORMED_REQUESTS:
+            status, document, seconds = raw_exchange(
+                router.url, "POST", path, length, body
+            )
+            assert status == 400, (path, length, body, document)
+            assert document["error"]
+            assert seconds < 1.0
+        statuses = metered_statuses(
+            router.metrics, "repro_cluster_requests_total", len(MALFORMED_REQUESTS)
+        )
+        assert statuses == {"400": float(len(MALFORMED_REQUESTS))}
+
+    def test_exception_escaping_a_route_is_a_500(self, routed, monkeypatch):
+        router, _, _ = routed
+
+        def explode():
+            raise RuntimeError("status exploded")
+
+        monkeypatch.setattr(router, "status_document", explode)
+        status, document, _ = raw_exchange(router.url, "GET", "/v1/status", "0")
+        assert status == 500
+        assert "RuntimeError" in document["error"]
+        statuses = metered_statuses(router.metrics, "repro_cluster_requests_total", 1)
+        assert statuses == {"500": 1.0}
 
 
 class TestInvalidationFanout:

@@ -191,6 +191,25 @@ class _SheddingHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    exposition = "# TYPE repro_up gauge\nrepro_up 1\n"
+
+    def do_GET(self):
+        cls = type(self)
+        cls.requests_seen += 1
+        if cls.remaining_rejections > 0:
+            cls.remaining_rejections -= 1
+            body = json.dumps({"error": "queue full"}).encode()
+            self.send_response(503)
+            self.send_header("Retry-After", cls.retry_after)
+            self.send_header("Content-Type", "application/json")
+        else:
+            body = cls.exposition.encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; version=0.0.4")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
     def log_message(self, *args):
         pass
 
@@ -237,6 +256,20 @@ class TestRetryAfter:
             client.query("SHOW SUMMARY;", timeout=5)
         assert excinfo.value.retry_after == 2.0
         assert len(sleeps) == 1
+
+    def test_metrics_scrape_retries_503_with_retry_after(self, shedding_server):
+        """The exposition goes through the same retry loop as every JSON
+        call: a shed scrape waits out ``Retry-After`` and returns text."""
+        url, handler = shedding_server
+        handler.remaining_rejections = 1
+        handler.retry_after = "2"
+        sleeps = []
+        client = ServiceClient(
+            url, retry_policy=_fast_retries(3), sleep=sleeps.append
+        )
+        assert client.metrics() == _SheddingHandler.exposition
+        assert handler.requests_seen == 2
+        assert sleeps == [2.0]
 
     def test_larger_backoff_wins_over_small_retry_after(self, shedding_server):
         url, handler = shedding_server

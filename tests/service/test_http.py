@@ -1,11 +1,17 @@
 """End-to-end tests for the TML-over-HTTP API (real sockets, stdlib client)."""
 
+import http.client
+import json
+import logging
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.errors import AdmissionError, JobNotFoundError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient
 from repro.service.core import MiningService, ServiceConfig
 from repro.service.http import start_server
@@ -243,3 +249,108 @@ class TestErrorMapping:
             server.shutdown()
             server.server_close()
             service.close()
+
+
+# ----------------------------------------------------------------------
+# hostile input over raw sockets
+# ----------------------------------------------------------------------
+
+#: ``(path, Content-Length header, body)`` requests a client library
+#: would never send; ``None`` sends the body's true length.
+MALFORMED_REQUESTS = [
+    ("/v1/query", "-1", b""),
+    ("/v1/query", "abc", b""),
+    ("/v1/transactions", "-7", b""),
+    ("/v1/query", None, b"\xff\xfe{}"),
+    ("/v1/query", None, b"[1, 2]"),
+    ("/v1/cache/invalidate", None, b"[]"),
+]
+
+
+def raw_exchange(base_url, method, path, content_length=None, body=b"", timeout=1.0):
+    """One hand-built request on a raw socket: ``(status, document, seconds)``.
+
+    The ``Content-Length`` header is sent verbatim, so it can lie.  A
+    server that stalls past ``timeout`` raises ``socket.timeout``; one
+    that hangs up without answering raises ``RemoteDisconnected``.
+    """
+    parts = urlsplit(base_url)
+    if content_length is None:
+        content_length = str(len(body))
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    started = time.monotonic()
+    with socket.create_connection((parts.hostname, parts.port), timeout=timeout) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        document = json.loads(response.read().decode("utf-8"))
+    return response.status, document, time.monotonic() - started
+
+
+def metered_statuses(registry, family, expected_requests, timeout=5.0):
+    """The ``status`` label values of ``family`` once it has metered
+    ``expected_requests`` requests (metering follows the response)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        statuses = {}
+        for metric in registry.collect():
+            if metric.name != family:
+                continue
+            for _, labelnames, values, count in metric.samples():
+                status = dict(zip(labelnames, values))["status"]
+                statuses[status] = statuses.get(status, 0.0) + count
+        if sum(statuses.values()) >= expected_requests or time.monotonic() > deadline:
+            return statuses
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def metered(seasonal_data):
+    """A served service with its own registry, so its counters are its own."""
+    registry = MetricsRegistry()
+    service = MiningService(config=ServiceConfig(workers=1, metrics=registry))
+    service.load_database(seasonal_data.database)
+    server, _ = start_server(service)
+    try:
+        yield service, server.url, registry
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+class TestMalformedRequests:
+    def test_malformed_requests_answer_400_without_hanging(self, metered):
+        _, url, registry = metered
+        for path, length, body in MALFORMED_REQUESTS:
+            status, document, seconds = raw_exchange(url, "POST", path, length, body)
+            assert status == 400, (path, length, body, document)
+            assert document["error"]
+            assert seconds < 1.0
+        statuses = metered_statuses(
+            registry, "repro_http_requests_total", len(MALFORMED_REQUESTS)
+        )
+        assert statuses == {"400": float(len(MALFORMED_REQUESTS))}
+
+    def test_exception_escaping_a_route_is_a_logged_500(
+        self, metered, monkeypatch, caplog
+    ):
+        service, url, registry = metered
+
+        def explode():
+            raise RuntimeError("status exploded")
+
+        monkeypatch.setattr(service, "status", explode)
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            status, document, _ = raw_exchange(url, "GET", "/v1/status", "0")
+        assert status == 500
+        assert "RuntimeError" in document["error"]
+        assert any(
+            r.exc_info and "status exploded" in str(r.exc_info[1])
+            for r in caplog.records
+        )
+        assert metered_statuses(registry, "repro_http_requests_total", 1) == {"500": 1.0}
