@@ -40,6 +40,7 @@ PRs 2–8 across cores instead of queueing behind one GIL.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -267,7 +268,9 @@ class WorkerHandle:
         try:
             with urllib.request.urlopen(url + "/v1/status", timeout=timeout) as resp:
                 document = json.loads(resp.read().decode("utf-8"))
-        except (OSError, ValueError):
+        except (OSError, ValueError, http.client.HTTPException):
+            # HTTPException: a worker dying mid-response (IncompleteRead)
+            # is a failed probe, not a reason to kill the monitor thread.
             self.consecutive_failures += 1
             self.healthy = False
             self._healthy_since = None

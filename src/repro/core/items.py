@@ -42,7 +42,11 @@ class Itemset:
             if not isinstance(item, int) or item < 0:
                 raise ItemError(f"item ids must be non-negative ints, got {item!r}")
         self._items: Tuple[Item, ...] = tuple(unique)
-        self._hash = hash(self._items)
+        # hash() never returns -1, so it marks "not computed yet": a
+        # database holds one itemset per transaction and rarely hashes
+        # them, and -1 is a shared small int where a hash would be a
+        # fresh 32-byte object.
+        self._hash = -1
 
     @classmethod
     def canonical(cls, items: Tuple[Item, ...]) -> "Itemset":
@@ -82,6 +86,8 @@ class Itemset:
         return item in self._items
 
     def __hash__(self) -> int:
+        if self._hash == -1:
+            self._hash = hash(self._items)
         return self._hash
 
     def __eq__(self, other: object) -> bool:

@@ -30,9 +30,18 @@ class Transaction:
         items: the purchased itemset.
     """
 
+    # Every environment mirroring a store holds one object per
+    # transaction, and a stream of appends keeps adding them: no __dict__.
+    __slots__ = ("tid", "timestamp", "items")
+
     tid: int
     timestamp: datetime
     items: Itemset
+
+    def __reduce__(self):
+        # Rebuild through __init__: copy and pickle would otherwise set
+        # the slots one by one, which a frozen dataclass refuses.
+        return Transaction, (self.tid, self.timestamp, self.items)
 
     def __post_init__(self) -> None:
         if not isinstance(self.timestamp, datetime):

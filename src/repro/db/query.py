@@ -112,15 +112,18 @@ def run_mutation(
             f"only {', '.join(v.upper() for v in MUTATION_PREFIXES)} are "
             f"allowed here, got {head[0].upper()}"
         )
-    try:
-        # Execute-and-commit atomically with respect to other threads'
-        # reads on the shared connection.
-        with store.lock:
+    # Execute-and-commit atomically with respect to other threads'
+    # reads on the shared connection.
+    with store.lock:
+        try:
             cursor = store._execute(sql, tuple(parameters))
             affected = cursor.rowcount
             store._commit()
-    except sqlite3.Error as error:
-        raise DatabaseError(f"mutation failed: {error}") from error
+        except sqlite3.Error as error:
+            # A failed statement leaves its implicit transaction open, and
+            # with it SQLite's write lock and an uncacheable fingerprint.
+            store.connection.rollback()
+            raise DatabaseError(f"mutation failed: {error}") from error
     return QueryResult(
         columns=("rows_affected",), rows=((affected,),)
     )

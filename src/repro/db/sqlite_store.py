@@ -15,6 +15,10 @@ layout)::
         PRIMARY KEY (tid, item)
     );
 
+Beside it sit ``applied_appends`` (the exactly-once append markers) and
+the one-row ``store_meta``, which persists the content fingerprint's
+digest sum (see :meth:`SqliteStore.fingerprint`).
+
 The store converts to/from the in-memory
 :class:`~repro.core.transactions.TransactionDatabase` that the mining
 algorithms consume.
@@ -33,16 +37,31 @@ import hashlib
 import sqlite3
 import threading
 import time
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.items import ItemCatalog
-from repro.core.transactions import Transaction, TransactionDatabase
+from repro.core.transactions import TransactionDatabase
 from repro.errors import DatabaseError, SchemaError
 from repro.runtime.retry import RetryPolicy, retry_call
+
+if TYPE_CHECKING:
+    from repro.columnar.encoded import EncodedDatabase
+    from repro.planner.stats import StoreStats
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS transactions (
@@ -58,7 +77,78 @@ CREATE TABLE IF NOT EXISTS applied_appends (
     applied_at     TEXT    NOT NULL,
     n_transactions INTEGER NOT NULL
 );
+CREATE TABLE IF NOT EXISTS store_meta (
+    id     INTEGER PRIMARY KEY CHECK (id = 0),
+    fp_sum BLOB    NOT NULL,
+    n_rows INTEGER NOT NULL,
+    valid  INTEGER NOT NULL
+);
+-- A zero sum is right for an empty table; a file written before
+-- store_meta existed starts untrusted and the first fingerprint() rebuilds.
+INSERT OR IGNORE INTO store_meta (id, fp_sum, n_rows, valid)
+    SELECT 0, zeroblob(32), 0, NOT EXISTS (SELECT 1 FROM transactions);
+-- Deletes and updates the store did not make cannot be folded into the
+-- sum; they mark it stale.  Foreign inserts are caught by n_rows.
+CREATE TRIGGER IF NOT EXISTS store_meta_stale_on_delete
+    AFTER DELETE ON transactions WHEN (SELECT valid FROM store_meta)
+    BEGIN UPDATE store_meta SET valid = 0; END;
+CREATE TRIGGER IF NOT EXISTS store_meta_stale_on_update
+    AFTER UPDATE ON transactions WHEN (SELECT valid FROM store_meta)
+    BEGIN UPDATE store_meta SET valid = 0; END;
 """
+
+_INSERT_ROW = "INSERT INTO transactions (tid, ts, item) VALUES (?, ?, ?)"
+_WRITE_META = "REPLACE INTO store_meta (id, fp_sum, n_rows, valid) VALUES (0, ?, ?, 1)"
+
+#: The digest sum lives in Z/2**256: wide enough that no two row sets a
+#: store will ever hold collide by accident.
+_MODULUS = 1 << 256
+
+
+def _digest_rows(rows: Iterable[Sequence[Any]]) -> Tuple[int, int]:
+    """``(sum of the rows' SHA-256 digests mod 2**256, row count)``.
+
+    Each ``(tid, ts, item)`` row digests as an integer over the text
+    SQLite stores, so a sum built from inserted rows equals one rebuilt
+    from a scan of them, in any order.
+    """
+    sha256, from_bytes = hashlib.sha256, int.from_bytes  # hot loop: bind once
+    total = count = 0
+    for tid, ts, item in rows:
+        total += from_bytes(sha256(f"{tid}\x1f{ts}\x1f{item}".encode()).digest(), "big")
+        count += 1
+    return total % _MODULUS, count
+
+
+def _fingerprint_of(fp_sum: int, n_rows: int) -> str:
+    """The fingerprint of a content whose digest sum and size are given."""
+    return hashlib.sha256(
+        b"repro-fp-v2" + fp_sum.to_bytes(32, "big") + n_rows.to_bytes(8, "big")
+    ).hexdigest()
+
+
+def _parse_stamp(tid: int, text: str) -> datetime:
+    try:
+        return datetime.fromisoformat(text)
+    except (TypeError, ValueError) as error:
+        raise DatabaseError(
+            f"transaction {tid} has a malformed timestamp {text!r}: {error}"
+        ) from error
+
+
+def _baskets(rows: Iterable[Sequence[Any]]) -> Iterator[Tuple[int, datetime, List[str]]]:
+    """Group ``(tid, ts, item)`` rows, adjacent per tid, into baskets."""
+    current: Optional[Tuple[int, datetime]] = None
+    labels: List[str] = []
+    for tid, stamp_text, item in rows:
+        if current is None or tid != current[0]:
+            if current is not None:
+                yield current[0], current[1], labels
+            current = (tid, _parse_stamp(tid, stamp_text))
+            labels = []
+        labels.append(item)
+    if current is not None:
+        yield current[0], current[1], labels
 
 
 @dataclass(frozen=True)
@@ -71,11 +161,18 @@ class AppendOutcome:
         count: transactions written by *this* call (0 on a duplicate).
         tids: the tids assigned/used, in batch order (empty on a
             duplicate).
+        old_fingerprint: the store's fingerprint just before the batch.
+        new_fingerprint: the fingerprint the batch's commit produced.
+            Both are read inside the append's own transaction, so no
+            concurrent append can fall between them; they are equal
+            when nothing was written.
     """
 
     applied: bool
     count: int
     tids: Tuple[int, ...]
+    old_fingerprint: str
+    new_fingerprint: str
 
 
 class SqliteStore:
@@ -116,13 +213,12 @@ class SqliteStore:
         # construction (satellite: no AttributeError from __del__/with).
         self._connection: Optional[sqlite3.Connection] = None
         self._lock = threading.RLock()
+        # The fingerprint memo and the change key it is valid for.
         self._fingerprint_cache: Optional[str] = None
-        self._fingerprint_key: Optional[Tuple[int, int, int]] = None
-        # Planner statistics share the fingerprint's change key, so a
-        # mutation invalidates both memos together (a plan can never be
-        # built from stale stats against a fresh fingerprint).
-        self._stats_cache = None
-        self._stats_key: Optional[Tuple[int, int, int]] = None
+        self._fingerprint_key: Optional[Tuple[int, int]] = None
+        # Planner statistics, keyed by the fingerprint they describe.
+        self._stats_cache: Optional["StoreStats"] = None
+        self._stats_fingerprint: Optional[str] = None
         self._retry_policy = retry_policy or RetryPolicy()
         self._sleep = sleep
         # Per-thread retry deadline: the service sets this from the
@@ -140,6 +236,9 @@ class SqliteStore:
         except sqlite3.Error as error:
             raise DatabaseError(f"cannot open {self.path!r}: {error}") from error
         self._connection.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
+        # The delete half of a REPLACE fires delete triggers only with
+        # recursive triggers on; store_meta's staleness mark needs it.
+        self._connection.execute("PRAGMA recursive_triggers = ON")
         if self.path != ":memory:":
             # WAL lets readers proceed during a write; NORMAL sync is the
             # standard pairing (durability still survives app crashes).
@@ -215,7 +314,7 @@ class SqliteStore:
         """This thread's current retry deadline (``None`` = unbounded)."""
         return getattr(self._retry_deadlines, "value", None)
 
-    def _retry(self, operation: Callable[[], object], describe: str):
+    def _retry(self, operation: Callable[[], Any], describe: str) -> Any:
         return retry_call(
             operation,
             policy=self._retry_policy,
@@ -252,7 +351,7 @@ class SqliteStore:
 
     def fetch_all(
         self, sql: str, parameters: Sequence[object] = ()
-    ) -> Tuple[Tuple[str, ...], Tuple[Tuple[object, ...], ...]]:
+    ) -> Tuple[Tuple[str, ...], Tuple[Tuple[Any, ...], ...]]:
         """Execute and fully fetch one query under the store lock.
 
         The thread-safe read primitive: the cursor is drained before the
@@ -263,6 +362,152 @@ class SqliteStore:
             cursor = self._execute(sql, parameters)
             columns = tuple(d[0] for d in cursor.description or ())
             return columns, tuple(tuple(row) for row in cursor.fetchall())
+
+    # ------------------------------------------------------------------
+    # the persisted fingerprint
+    # ------------------------------------------------------------------
+
+    def _change_key(self) -> Tuple[int, int]:
+        """What the fingerprint memo is valid for.
+
+        ``PRAGMA data_version`` moves on every commit by another
+        connection, :attr:`sqlite3.Connection.total_changes` on every row
+        this connection changes.  Inside a write transaction neither
+        moves again at the commit, so a key read just before committing
+        is the committed state's.  Callers hold :attr:`lock`.
+        """
+        connection = self.connection
+        row = self._retry(
+            lambda: connection.execute("PRAGMA data_version").fetchone(),
+            "execute: PRAGMA data_version",
+        )
+        return int(row[0]), connection.total_changes
+
+    def _trusted_meta(self, count: bool = True) -> Optional[Tuple[int, int]]:
+        """``store_meta``'s ``(sum, rows)`` if it describes the table.
+
+        Trusted means marked valid (no foreign delete or update since it
+        was written) and, unless ``count`` is off, sized right (no
+        foreign insert).
+        """
+        meta = self._execute(
+            "SELECT fp_sum, n_rows, valid FROM store_meta WHERE id = 0"
+        ).fetchone()
+        if meta is None or not meta[2]:
+            return None
+        if count:
+            rows = self._execute("SELECT COUNT(*) FROM transactions").fetchone()[0]
+            if meta[1] != rows:
+                return None
+        return int.from_bytes(meta[0], "big"), int(meta[1])
+
+    def _scan(self) -> Tuple[int, int]:
+        """Digest sum and size of the table, from one unsorted pass."""
+        return _digest_rows(self._execute("SELECT tid, ts, item FROM transactions"))
+
+    def _commit_state(self, state: Tuple[int, int]) -> str:
+        """Persist ``(sum, rows)`` as trusted, commit, memoize; the fingerprint."""
+        self._execute(_WRITE_META, (state[0].to_bytes(32, "big"), state[1]))
+        fingerprint = _fingerprint_of(*state)
+        key = self._change_key()
+        self._commit()
+        self._fingerprint_cache, self._fingerprint_key = fingerprint, key
+        return fingerprint
+
+    def _insert_rows(
+        self,
+        rows: Sequence[Tuple[int, str, str]],
+        marker: Optional[Tuple[str, str, int]] = None,
+    ) -> Tuple[str, str]:
+        """Insert rows and their digests in one transaction; commit it.
+
+        Every write the store makes goes through here, so the persisted
+        digest sum moves with the rows it describes.  ``marker`` is an
+        ``applied_appends`` row committed alongside.  Returns the old and
+        new fingerprints, both read under SQLite's write lock.  A key
+        conflict rolls everything back and raises :class:`DatabaseError`.
+        """
+        if not rows:
+            current = self.fingerprint()
+            return current, current
+        added, _ = _digest_rows(rows)
+        with self._lock:
+            connection = self.connection
+            changes = connection.total_changes
+            try:
+                # The write lock first, so the sum read next cannot move
+                # under a peer process's append (an open transaction of
+                # this connection's own is joined, as a bare INSERT would).
+                if not connection.in_transaction:
+                    self._execute("BEGIN IMMEDIATE")
+                # When nothing moved since the memo was taken, the meta is
+                # what it described and the O(n) row count can be skipped.
+                unmoved = self._fingerprint_cache is not None and self._fingerprint_key == (
+                    self._change_key()[0],
+                    changes,
+                )
+                old = self._trusted_meta(count=not unmoved) or self._scan()
+                self._executemany(_INSERT_ROW, rows)
+                if marker is not None:
+                    self._execute(
+                        "INSERT INTO applied_appends "
+                        "(append_id, applied_at, n_transactions) VALUES (?, ?, ?)",
+                        marker,
+                    )
+                new = self._commit_state(((old[0] + added) % _MODULUS, old[1] + len(rows)))
+                return _fingerprint_of(*old), new
+            except sqlite3.IntegrityError as error:
+                connection.rollback()
+                raise DatabaseError(
+                    f"rows conflict with the store's existing rows: {error}"
+                ) from error
+            except BaseException:
+                connection.rollback()
+                raise
+
+    def fingerprint(self) -> str:
+        """A content digest of the store — the dataset half of a cache key.
+
+        An order-independent multiset hash: each ``(tid, ts, item)`` row
+        digests to ``int(SHA-256("{tid}\\x1f{ts}\\x1f{item}"))`` over the
+        stored text, the digests sum modulo 2**256, and the fingerprint
+        is the SHA-256 of that sum and the row count.  Two stores holding
+        the same rows produce the same fingerprint regardless of
+        insertion history (content addressing, not version counting).
+
+        The sum is persisted in ``store_meta`` and every insert the store
+        makes adds to it in the rows' own transaction, so an append costs
+        O(batch).  Reads cost:
+
+        * nothing new while ``(PRAGMA data_version, total_changes)`` is
+          what it was after the store's own last write or check (the
+          memo);
+        * a ``store_meta`` read and a ``COUNT(*)`` after any other
+          change — the sum is trusted when marked valid (the delete and
+          update triggers clear the mark) and its row count matches
+          (which catches inserts the store did not make);
+        * one unsorted scan, persisted under ``BEGIN IMMEDIATE``, when it
+          is not trusted.  Inside an open transaction the scan answers
+          alone: uncommitted rows are neither persisted nor memoized.
+        """
+        with self._lock:
+            connection = self.connection
+            key = self._change_key()
+            if self._fingerprint_cache is not None and self._fingerprint_key == key:
+                return self._fingerprint_cache
+            if connection.in_transaction:
+                return _fingerprint_of(*self._scan())
+            state = self._trusted_meta()
+            if state is not None:
+                fingerprint = _fingerprint_of(*state)
+                self._fingerprint_cache, self._fingerprint_key = fingerprint, key
+                return fingerprint
+            self._execute("BEGIN IMMEDIATE")
+            try:
+                return self._commit_state(self._trusted_meta() or self._scan())
+            except BaseException:
+                connection.rollback()
+                raise
 
     # ------------------------------------------------------------------
     # writes
@@ -285,15 +530,8 @@ class SqliteStore:
         with self._lock:
             if tid is None:
                 tid = self.next_tid()
-            try:
-                self._executemany(
-                    "INSERT INTO transactions (tid, ts, item) VALUES (?, ?, ?)",
-                    [(tid, timestamp.isoformat(), label) for label in labels],
-                )
-            except sqlite3.IntegrityError as error:
-                self.connection.rollback()
-                raise DatabaseError(f"duplicate tid {tid}: {error}") from error
-            self._commit()
+            stamp = timestamp.isoformat()
+            self._insert_rows([(tid, stamp, label) for label in labels])
         return tid
 
     def insert_many(
@@ -310,11 +548,7 @@ class SqliteStore:
             rows.extend((tid, timestamp.isoformat(), label) for label in labels)
             tid += 1
             count += 1
-        if rows:
-            self._executemany(
-                "INSERT INTO transactions (tid, ts, item) VALUES (?, ?, ?)", rows
-            )
-            self._commit()
+        self._insert_rows(rows)
         return count
 
     def append_batch(
@@ -338,18 +572,25 @@ class SqliteStore:
         the original commit landed — marker present, replay skipped — or
         it did not, and the replay applies it for the first time.  An
         empty batch is a complete no-op (no marker, no commit).
+
+        The outcome carries the fingerprints either side of the batch,
+        read inside its transaction: the transition a delta chain can
+        record without a concurrent append slipping in between.
         """
-        batch = list(transactions)
+        batch: List[Sequence[Any]] = list(transactions)
         with self._lock:
-            if append_id is not None:
-                row = self._execute(
-                    "SELECT n_transactions FROM applied_appends WHERE append_id = ?",
-                    (append_id,),
-                ).fetchone()
-                if row is not None:
-                    return AppendOutcome(applied=False, count=0, tids=())
-            if not batch:
-                return AppendOutcome(applied=True, count=0, tids=())
+            duplicate = append_id is not None and self._execute(
+                "SELECT 1 FROM applied_appends WHERE append_id = ?", (append_id,)
+            ).fetchone() is not None
+            if duplicate or not batch:
+                current = self.fingerprint()
+                return AppendOutcome(
+                    applied=not duplicate,
+                    count=0,
+                    tids=(),
+                    old_fingerprint=current,
+                    new_fingerprint=current,
+                )
             next_tid = self.next_tid()
             rows: List[Tuple[int, str, str]] = []
             tids: List[int] = []
@@ -366,24 +607,17 @@ class SqliteStore:
                 rows.extend(
                     (int(tid), timestamp.isoformat(), label) for label in labels
                 )
-            try:
-                self._executemany(
-                    "INSERT INTO transactions (tid, ts, item) VALUES (?, ?, ?)",
-                    rows,
-                )
-                if append_id is not None:
-                    self._execute(
-                        "INSERT INTO applied_appends "
-                        "(append_id, applied_at, n_transactions) VALUES (?, ?, ?)",
-                        (append_id, datetime.now().isoformat(), len(tids)),
-                    )
-            except sqlite3.IntegrityError as error:
-                self.connection.rollback()
-                raise DatabaseError(
-                    f"append batch conflicts with existing rows: {error}"
-                ) from error
-            self._commit()
-        return AppendOutcome(applied=True, count=len(tids), tids=tuple(tids))
+            marker = None
+            if append_id is not None:
+                marker = (append_id, datetime.now().isoformat(), len(tids))
+            old, new = self._insert_rows(rows, marker)
+        return AppendOutcome(
+            applied=True,
+            count=len(tids),
+            tids=tuple(tids),
+            old_fingerprint=old,
+            new_fingerprint=new,
+        )
 
     def save_database(self, database: TransactionDatabase, replace: bool = False) -> int:
         """Persist an in-memory database; returns transactions written."""
@@ -395,18 +629,16 @@ class SqliteStore:
             stamp = transaction.timestamp.isoformat()
             for item in transaction.items:
                 rows.append((transaction.tid, stamp, catalog.label(item)))
-        self._executemany(
-            "INSERT INTO transactions (tid, ts, item) VALUES (?, ?, ?)", rows
-        )
-        self._commit()
+        self._insert_rows(rows)
         return len(database)
 
     def clear(self) -> None:
         """Delete every transaction (and the applied-append markers —
         a cleared store has no append history to dedupe against)."""
-        self._execute("DELETE FROM transactions")
-        self._execute("DELETE FROM applied_appends")
-        self._commit()
+        with self._lock:
+            self._execute("DELETE FROM transactions")
+            self._execute("DELETE FROM applied_appends")
+            self._commit_state((0, 0))
 
     # ------------------------------------------------------------------
     # reads
@@ -426,45 +658,18 @@ class SqliteStore:
             return None
         return datetime.fromisoformat(row[0]), datetime.fromisoformat(row[1])
 
-    def _change_key(self) -> Tuple[int, int, int]:
-        """Cheap change marker keying both memos (fingerprint + stats).
-
-        ``PRAGMA data_version`` catches other connections' commits,
-        :attr:`sqlite3.Connection.total_changes` rows changed through
-        this connection, and the row count guards the
-        ``DELETE``-without-``WHERE`` truncate optimization (which older
-        SQLite builds do not count).  Callers must hold :attr:`lock`.
-        """
-        connection = self.connection
-        version = int(
-            self._retry(
-                lambda: connection.execute("PRAGMA data_version").fetchone(),
-                "execute: PRAGMA data_version",
-            )[0]
-        )
-        rows = int(
-            self._retry(
-                lambda: connection.execute(
-                    "SELECT COUNT(*) FROM transactions"
-                ).fetchone(),
-                "execute: SELECT COUNT(*) FROM transactions",
-            )[0]
-        )
-        return (version, connection.total_changes, rows)
-
-    def stats(self):
+    def stats(self) -> "StoreStats":
         """Planner statistics of the store, as a ``StoreStats``.
 
-        One aggregate query; memoized against the same change key as
-        :meth:`fingerprint`, so both caches go stale (and refresh)
-        together when the store mutates — the planner can never pair
-        fresh content addressing with stale statistics.
+        One aggregate query, memoized against :meth:`fingerprint`: the
+        planner can never pair fresh content addressing with stale
+        statistics.
         """
         from repro.planner.stats import StoreStats
 
         with self._lock:
-            key = self._change_key()
-            if self._stats_cache is not None and self._stats_key == key:
+            fingerprint = self.fingerprint()
+            if self._stats_cache is not None and self._stats_fingerprint == fingerprint:
                 return self._stats_cache
             row = self._execute(
                 "SELECT COUNT(DISTINCT tid), COUNT(DISTINCT item), COUNT(*), "
@@ -472,47 +677,30 @@ class SqliteStore:
             ).fetchone()
             first = datetime.fromisoformat(row[3]) if row[3] is not None else None
             last = datetime.fromisoformat(row[4]) if row[4] is not None else None
-            self._stats_cache = StoreStats(
+            stats = StoreStats(
                 n_transactions=int(row[0]),
                 n_items=int(row[1]),
                 n_occurrences=int(row[2]),
                 first_timestamp=first,
                 last_timestamp=last,
             )
-            self._stats_key = key
-            return self._stats_cache
+            self._stats_cache, self._stats_fingerprint = stats, fingerprint
+            return stats
 
-    def fingerprint(self) -> str:
-        """A content digest of the store — the dataset half of a cache key.
-
-        SHA-256 over every ``(tid, ts, item)`` row in ``(tid, item)``
-        order, so two stores holding the same transactions produce the
-        same fingerprint regardless of insertion history (content
-        addressing, not version counting).  The scan is memoized against
-        a cheap change marker — ``PRAGMA data_version`` (bumped by other
-        connections' commits), :attr:`sqlite3.Connection.total_changes`
-        (rows changed through this connection) and the row count (guards
-        the ``DELETE``-without-``WHERE`` truncate optimization, which
-        older SQLite builds do not count) — so repeated queries against
-        an unchanged store pay one aggregate lookup, not a table scan.
-        """
-        with self._lock:
-            connection = self.connection
-            key = self._change_key()
-            if self._fingerprint_cache is not None and self._fingerprint_key == key:
-                return self._fingerprint_cache
-            digest = hashlib.sha256()
-            cursor = self._retry(
-                lambda: connection.execute(
-                    "SELECT tid, ts, item FROM transactions ORDER BY tid, item"
-                ),
-                "execute: fingerprint scan",
-            )
-            for tid, stamp, item in cursor:
-                digest.update(f"{tid}\x1f{stamp}\x1f{item}\x1e".encode("utf-8"))
-            self._fingerprint_cache = digest.hexdigest()
-            self._fingerprint_key = key
-            return self._fingerprint_cache
+    def _fetch_rows(self, where: str, parameters: Sequence[object]) -> List[Any]:
+        """``(tid, ts, item)`` rows in ``(ts, tid)`` order, optionally filtered."""
+        sql = "SELECT tid, ts, item FROM transactions"
+        if where:
+            sql += f" WHERE {where}"
+        sql += " ORDER BY ts, tid"
+        try:
+            # Drain the cursor under the lock: iterating a cursor while
+            # another thread executes on the shared connection is the
+            # classic cross-thread corruption path.
+            with self._lock:
+                return self._execute(sql, tuple(parameters)).fetchall()
+        except sqlite3.Error as error:
+            raise DatabaseError(f"load query failed: {error}") from error
 
     def load_database(
         self,
@@ -529,38 +717,9 @@ class SqliteStore:
             parameters: bound parameters for ``where``.
             catalog: optional shared catalog (labels register on load).
         """
-        sql = "SELECT tid, ts, item FROM transactions"
-        if where:
-            sql += f" WHERE {where}"
-        sql += " ORDER BY ts, tid"
-        try:
-            # Drain the cursor under the lock: iterating a cursor while
-            # another thread executes on the shared connection is the
-            # classic cross-thread corruption path.
-            with self._lock:
-                rows = self._execute(sql, tuple(parameters)).fetchall()
-        except sqlite3.Error as error:
-            raise DatabaseError(f"load query failed: {error}") from error
         database = TransactionDatabase(catalog=catalog)
-        current_tid: Optional[int] = None
-        current_stamp: Optional[datetime] = None
-        current_items: List[str] = []
-        for tid, stamp_text, item in rows:
-            if tid != current_tid:
-                if current_tid is not None:
-                    database.add(current_stamp, current_items, tid=current_tid)
-                current_tid = tid
-                try:
-                    current_stamp = datetime.fromisoformat(stamp_text)
-                except (TypeError, ValueError) as error:
-                    raise DatabaseError(
-                        f"transaction {tid} has a malformed timestamp "
-                        f"{stamp_text!r}: {error}"
-                    ) from error
-                current_items = []
-            current_items.append(item)
-        if current_tid is not None:
-            database.add(current_stamp, current_items, tid=current_tid)
+        for tid, stamp, labels in _baskets(self._fetch_rows(where, parameters)):
+            database.add(stamp, labels, tid=tid)
         return database
 
     def load_encoded(
@@ -579,39 +738,16 @@ class SqliteStore:
         """
         from repro.columnar.encoded import EncodedDatabase
 
-        sql = "SELECT tid, ts, item FROM transactions"
-        if where:
-            sql += f" WHERE {where}"
-        sql += " ORDER BY ts, tid"
-        try:
-            with self._lock:
-                rows = self._execute(sql, tuple(parameters)).fetchall()
-        except sqlite3.Error as error:
-            raise DatabaseError(f"load query failed: {error}") from error
+        rows = self._fetch_rows(where, parameters)
         catalog = catalog if catalog is not None else ItemCatalog()
-
-        def grouped_baskets():
-            current_tid: Optional[int] = None
-            current_stamp: Optional[datetime] = None
-            current_ids: List[int] = []
-            for tid, stamp_text, item in rows:
-                if tid != current_tid:
-                    if current_tid is not None:
-                        yield current_tid, current_stamp, current_ids
-                    current_tid = tid
-                    try:
-                        current_stamp = datetime.fromisoformat(stamp_text)
-                    except (TypeError, ValueError) as error:
-                        raise DatabaseError(
-                            f"transaction {tid} has a malformed timestamp "
-                            f"{stamp_text!r}: {error}"
-                        ) from error
-                    current_ids = []
-                current_ids.append(catalog.add(item))
-            if current_tid is not None:
-                yield current_tid, current_stamp, current_ids
-
-        return EncodedDatabase.from_baskets(grouped_baskets(), catalog=catalog)
+        add = catalog.add
+        return EncodedDatabase.from_baskets(
+            (
+                (tid, stamp, [add(label) for label in labels])
+                for tid, stamp, labels in _baskets(rows)
+            ),
+            catalog=catalog,
+        )
 
 
 def load_csv(
@@ -651,8 +787,5 @@ def load_csv(
         for tid, (stamp, items) in sorted(grouped.items())
         for item in sorted(set(items))
     ]
-    store._executemany(
-        "INSERT INTO transactions (tid, ts, item) VALUES (?, ?, ?)", rows
-    )
-    store._commit()
+    store._insert_rows(rows)
     return len(grouped)

@@ -10,9 +10,8 @@ cheap to memoize:
   :class:`~repro.columnar.encoded.EncodedDatabase` itself (encoded
   databases are immutable once built);
 * :meth:`repro.db.sqlite_store.SqliteStore.stats` caches keyed by the
-  same change cookie as ``fingerprint()``, so a store mutation
-  invalidates both memos together — a plan can never be built from
-  stale statistics against a fresh fingerprint.
+  store's ``fingerprint()``, so a plan can never be built from stale
+  statistics against a fresh fingerprint.
 """
 
 from __future__ import annotations

@@ -391,8 +391,12 @@ class MiningService:
                     ]
                 },
             )
-        old_fingerprint = self.store.fingerprint()
         outcome = self.store.append_batch(batch, append_id=append_id)
+        # Both fingerprints come from inside the append's own store
+        # transaction: reading them around the call would let a
+        # concurrent append land between the reads and break the chain.
+        old_fingerprint = outcome.old_fingerprint
+        new_fingerprint = outcome.new_fingerprint
         if not outcome.applied:
             # The idempotency key already committed once; acknowledge
             # without re-applying (and settle the journal intent).
@@ -405,9 +409,8 @@ class MiningService:
                 "tids": [],
                 "delta_refreshed": 0,
                 "old_fingerprint": old_fingerprint,
-                "new_fingerprint": old_fingerprint,
+                "new_fingerprint": new_fingerprint,
             }
-        new_fingerprint = self.store.fingerprint()
         refreshed = self.cache.note_append(old_fingerprint, new_fingerprint)
         applied = [
             (ts, items, tid)
@@ -531,14 +534,13 @@ class MiningService:
                     (datetime.fromisoformat(ts), list(items), tid)
                     for ts, items, tid in payload.get("transactions", [])
                 ]
-                old_fingerprint = self.store.fingerprint()
                 outcome = self.store.append_batch(batch, append_id=append_id)
             except (DatabaseError, TypeError, ValueError) as error:
                 logger.error("append replay %s failed: %s", append_id, error)
                 self._m_appends.inc(outcome="replay_failed")
                 continue
             if outcome.applied and outcome.count:
-                self.cache.note_append(old_fingerprint, self.store.fingerprint())
+                self.cache.note_append(outcome.old_fingerprint, outcome.new_fingerprint)
                 replayed += 1
                 self._m_appends.inc(outcome="replayed")
                 detail = "replayed after crash"

@@ -7,6 +7,8 @@ processes."""
 import json
 import os
 import signal
+import socket
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -122,6 +124,82 @@ class TestFleetLifecycle:
         config = WorkerConfig(db_path=":memory:", run_dir=str(tmp_path))
         with pytest.raises(ValueError, match="file-backed"):
             FleetSupervisor(config, n_workers=1, metrics=MetricsRegistry())
+
+
+class _TruncatingStatusServer:
+    """Answers every request with a ``/v1/status`` body cut short.
+
+    The headers promise more bytes than arrive before the socket closes
+    — what a worker killed mid-response leaves the prober with.
+    """
+
+    def __init__(self):
+        self.socket = socket.create_server(("127.0.0.1", 0))
+        self.port = self.socket.getsockname()[1]
+        self.served = 0
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                connection, _ = self.socket.accept()
+            except OSError:
+                return
+            with connection:
+                connection.recv(65536)
+                connection.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: 4096\r\n\r\n" + b'{"worker": {"id": "w0"'
+                )
+            self.served += 1
+
+    def close(self):
+        self.socket.close()
+        self._thread.join(timeout=5.0)
+
+
+class _LiveProcess:
+    """A stand-in process that never exits (``poll()`` is ``None``)."""
+
+    pid = 0
+
+    def poll(self):
+        return None
+
+
+class TestHealthProbe:
+    """Probe-level tests against an in-process fake worker."""
+
+    def test_truncated_status_fails_the_probe_not_the_monitor(self, tmp_path):
+        server = _TruncatingStatusServer()
+        supervisor = FleetSupervisor(
+            WorkerConfig(db_path=str(tmp_path / "store.db"), run_dir=str(tmp_path)),
+            n_workers=1,
+            health_interval=0.02,
+            restart=False,
+            metrics=MetricsRegistry(),
+        )
+        worker = supervisor.worker("w0")
+        worker.process = _LiveProcess()
+        worker.port = server.port
+        worker.healthy = True
+        monitor = threading.Thread(target=supervisor._monitor_loop, daemon=True)
+        try:
+            assert worker.check_health(timeout=5.0) is False
+            assert not worker.healthy
+            monitor.start()
+            deadline = time.monotonic() + 10.0
+            while server.served < 4 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert server.served >= 4, "the monitor must keep probing"
+            assert monitor.is_alive()
+            assert worker.consecutive_failures >= 4
+        finally:
+            supervisor._stop.set()
+            if monitor.is_alive():
+                monitor.join(timeout=5.0)
+            server.close()
 
 
 class TestEphemeralPortSatellite:

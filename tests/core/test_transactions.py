@@ -1,5 +1,7 @@
 """Unit tests for transactions and the in-memory database."""
 
+import copy
+import pickle
 from datetime import datetime, timedelta
 
 import pytest
@@ -21,6 +23,17 @@ class TestTransaction:
     def test_rejects_non_datetime(self):
         with pytest.raises(TransactionError):
             Transaction(0, "2026-01-01", Itemset([1]))  # type: ignore[arg-type]
+
+    def test_slotted_transaction_copies_and_pickles(self):
+        transaction = Transaction(7, datetime(2026, 1, 1), Itemset([2, 1]))
+        assert not hasattr(transaction, "__dict__")
+        for clone in (
+            copy.copy(transaction),
+            copy.deepcopy(transaction),
+            pickle.loads(pickle.dumps(transaction)),
+        ):
+            assert clone == transaction
+            assert hash(clone.items) == hash(transaction.items)
 
 
 class TestAddAndAccess:

@@ -7,6 +7,7 @@ import pytest
 from repro.db.query import (
     basket_size_distribution,
     item_support_in_window,
+    run_mutation,
     run_query,
     summarize,
     top_items,
@@ -66,6 +67,18 @@ class TestRunQuery:
         text = result.format(limit=2)
         assert "item" in text
         assert "more row(s)" in text
+
+
+class TestRunMutation:
+    def test_failed_mutation_leaves_no_open_transaction(self, store):
+        before = store.fingerprint()
+        with pytest.raises(DatabaseError):
+            run_mutation(
+                store,
+                "INSERT INTO transactions (tid, ts, item) VALUES (1, '2026-03-02', 'bread')",
+            )
+        assert not store.connection.in_transaction
+        assert store.fingerprint() == before
 
 
 class TestCannedQueries:

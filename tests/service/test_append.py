@@ -9,7 +9,9 @@ after the fold is byte-identical to a cold service that loaded the same
 final content from scratch.
 """
 
-from datetime import datetime
+import sys
+import threading
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -137,6 +139,93 @@ class TestAppendTransactions:
         finally:
             service.close()
             plain.close()
+
+
+#: A second batch, distinct from ROWS, for the overtaking append.
+OVERTAKER_ROWS = [
+    (datetime(2025, 4, 3, 9) + timedelta(hours=i), ["alpha", "gamma"])
+    for i in range(5)
+]
+
+
+class TestConcurrentAppendChain:
+    def test_overtaken_append_keeps_the_delta_chain_whole(
+        self, seasonal_data, monkeypatch
+    ):
+        """Regression: one append overtaken by another between its
+        fingerprint reads recorded ``F0 -> F2`` with only its own rows,
+        overwriting the overtaker's ``F0 -> F1``; an environment still
+        at F0 then folded half the new data and cached it under F2."""
+        warm = _service(seasonal_data.database)
+        cold = _service(seasonal_data.database)
+        try:
+            warm.run_sync(MINE_QUERY, timeout=60)  # an environment at F0
+            start = warm.store.fingerprint()
+            append_batch = warm.store.append_batch
+            overtaker = {}
+
+            def overtaking_append(batch, append_id=None):
+                # Runs a whole other append between the caller's entry
+                # into the append protocol and its own store commit.
+                if not overtaker:
+                    overtaker["pending"] = True
+                    overtaker["outcome"] = warm.append_transactions(
+                        OVERTAKER_ROWS, idempotency_key="overtaker"
+                    )
+                return append_batch(batch, append_id=append_id)
+
+            monkeypatch.setattr(warm.store, "append_batch", overtaking_append)
+            outcome = warm.append_transactions(ROWS, idempotency_key="overtaken")
+            assert overtaker["outcome"]["applied"] and outcome["applied"]
+            folded = warm.run_sync(MINE_QUERY, timeout=60)
+
+            cold.append_transactions(OVERTAKER_ROWS, idempotency_key="overtaker")
+            cold.append_transactions(ROWS, idempotency_key="overtaken")
+            control = cold.run_sync(MINE_QUERY, timeout=60)
+            assert warm.store.fingerprint() == cold.store.fingerprint()
+            assert canonical_json(folded.result) == canonical_json(control.result)
+            # The F0 environment reached the answer by folding both batches.
+            chain = warm._append_chain(start, warm.store.fingerprint())
+            assert chain is not None and len(chain) == 2
+        finally:
+            warm.close()
+            cold.close()
+
+    def test_concurrent_appends_chain_every_batch(self, seasonal_data):
+        """Appends from more threads than cores, with the interpreter
+        switching threads as often as it can: the chain from the start
+        fingerprint to the final one holds every batch exactly once."""
+        service = _service(seasonal_data.database)
+        start = service.store.fingerprint()
+        interval = sys.getswitchinterval()
+        errors = []
+
+        def appender(thread):
+            try:
+                for number in range(5):
+                    stamp = datetime(2025, 5, 1) + timedelta(hours=10 * thread + number)
+                    service.append_transactions([(stamp, ["alpha", f"t{thread}"])])
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=appender, args=(n,)) for n in range(6)]
+        try:
+            sys.setswitchinterval(1e-6)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not errors and not any(thread.is_alive() for thread in threads)
+            chain = service._append_chain(start, service.store.fingerprint())
+            assert chain is not None
+            assert sorted(items[1] for batch in chain for _, items, _ in batch) == sorted(
+                f"t{thread}" for thread in range(6) for _ in range(5)
+            )
+        finally:
+            service.close()
 
 
 class TestAppendJournal:
