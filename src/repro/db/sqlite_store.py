@@ -219,6 +219,9 @@ class SqliteStore:
         # Planner statistics, keyed by the fingerprint they describe.
         self._stats_cache: Optional["StoreStats"] = None
         self._stats_fingerprint: Optional[str] = None
+        # count_transactions(), memoized the same way.
+        self._count_cache = 0
+        self._count_fingerprint: Optional[str] = None
         self._retry_policy = retry_policy or RetryPolicy()
         self._sleep = sleep
         # Per-thread retry deadline: the service sets this from the
@@ -645,6 +648,23 @@ class SqliteStore:
     # ------------------------------------------------------------------
 
     def count_transactions(self) -> int:
+        """Distinct transactions, memoized against :meth:`fingerprint`.
+
+        ``GET /v1/status`` reports this on every health probe; the memo
+        turns an O(n) ``COUNT(DISTINCT tid)`` into the fingerprint's
+        O(1) check while nothing was written.
+        """
+        with self._lock:
+            if self.connection.in_transaction:
+                # Uncommitted rows: count them, memoize nothing.
+                return self._count_distinct_tids()
+            fingerprint = self.fingerprint()
+            if self._count_fingerprint != fingerprint:
+                self._count_cache = self._count_distinct_tids()
+                self._count_fingerprint = fingerprint
+            return self._count_cache
+
+    def _count_distinct_tids(self) -> int:
         row = self._execute("SELECT COUNT(DISTINCT tid) FROM transactions").fetchone()
         return int(row[0])
 

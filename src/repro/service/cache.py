@@ -142,25 +142,40 @@ class ResultCache:
         """The cached value, or ``None`` on miss/expiry (counted apart).
 
         A memory miss falls through to the disk spill tier when one is
-        attached; a disk hit is promoted back into the memory tier.
+        attached; a disk hit is promoted back into the memory tier (and
+        counts as a memory miss plus a ``disk_hit``).
         """
+        return self._lookup(key, count_miss=True)
+
+    def get_hit(self, key: str) -> Optional[Dict]:
+        """:meth:`get` for a probe whose misses another ``get`` counts.
+
+        Hits count exactly as in :meth:`get`; a miss in both tiers
+        leaves every miss counter alone.  The service probes with this
+        before admission and hands a miss to the admitted job, whose own
+        :meth:`get` of the same key then counts it — once.
+        """
+        return self._lookup(key, count_miss=False)
+
+    def _lookup(self, key: str, count_miss: bool) -> Optional[Dict]:
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self._stats.misses += 1
-                self._m_events.inc(event="miss")
-                return self._spill_get(key)
             if (
-                self.ttl_seconds is not None
+                entry is not None
+                and self.ttl_seconds is not None
                 and self._clock() - entry.created_at > self.ttl_seconds
             ):
                 del self._entries[key]
                 self._stats.expirations += 1
-                self._stats.misses += 1
                 self._m_events.inc(event="expiration")
-                self._m_events.inc(event="miss")
                 self._m_entries.set(len(self._entries))
-                return self._spill_get(key)
+                entry = None
+            if entry is None:
+                value = self._spill_get(key, count_miss)
+                if value is not None or count_miss:
+                    self._stats.misses += 1
+                    self._m_events.inc(event="miss")
+                return value
             self._entries.move_to_end(key)
             entry.hits += 1
             self._stats.hits += 1
@@ -170,7 +185,7 @@ class ResultCache:
             # there must never reach back into the shared entry.
             return copy.deepcopy(entry.value)
 
-    def _spill_get(self, key: str) -> Optional[Dict]:
+    def _spill_get(self, key: str, count_miss: bool) -> Optional[Dict]:
         """Disk fallback for a memory miss (caller holds the lock).
 
         A disk hit is promoted into the memory tier (counted as a
@@ -180,7 +195,7 @@ class ResultCache:
         if self.spill is None:
             return None
         try:
-            found = self.spill.get(key)
+            found = self.spill.get(key) if count_miss else self.spill.get_hit(key)
         except (DatabaseError, sqlite3.Error, ValueError) as error:
             self._stats.disk_errors += 1
             self._m_events.inc(event="disk_error")

@@ -18,6 +18,10 @@ Execution semantics:
   ``(canonical TML, store fingerprint, engine settings)`` and identical
   queries are *single-flighted* — concurrent duplicates wait for the
   first run and then hit the cache instead of mining twice.
+* A synchronous request that hits the cache is answered on the calling
+  thread before admission (:meth:`MiningService.answer_cached`): no
+  queue, no worker hand-off, no journal write.  Misses, traced and
+  ``async`` requests are admitted and journaled as before.
 * Partial results (budget-stopped or cancelled runs) are **never**
   cached; a truncated answer must not impersonate a complete one.
 * Mutating SQL invalidates exactly the entries recorded under the
@@ -48,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.transactions import TransactionDatabase
 from repro.db.query import is_mutating_sql
 from repro.db.sqlite_store import SqliteStore
-from repro.errors import DatabaseError, TmlExecutionError
+from repro.errors import DatabaseError, ReproError, TmlExecutionError
 from repro.mining.engine import _incremental_from_env
 from repro.obs.distributed import (
     FlightRecorder,
@@ -131,6 +135,9 @@ def _git_sha() -> str:
 #: simply falls back to a full dataset reload — correctness never
 #: depends on the bound.
 APPEND_LOG_LIMIT = 64
+
+#: Parsed statements memoized per service, by statement text.
+PARSE_MEMO_ENTRIES = 1024
 
 
 @dataclass
@@ -302,6 +309,10 @@ class MiningService:
         self._append_log: "OrderedDict[str, Tuple[str, List[Tuple]]]" = OrderedDict()
         self._append_lock = threading.Lock()
         self._tls = threading.local()
+        # A request is parsed before admission, for its journal row and
+        # on the worker; the AST is immutable, so one parse serves all
+        # three and every repeat of the same text.
+        self._parse = functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)(parse_statement)
         self._environments: List[ExecutionEnvironment] = []
         self._environments_lock = threading.Lock()
         self._inflight: Dict[str, List] = {}
@@ -585,15 +596,14 @@ class MiningService:
             canonical_key=self._canonical_key(statement),
         )
 
-    @staticmethod
-    def _canonical_key(statement: str) -> Optional[str]:
+    def _canonical_key(self, statement: str) -> Optional[str]:
         """Best-effort canonical TML for the journal row (audit field).
 
         Unparseable statements still get admitted (the worker reports
         the parse error as the job failure), so this must never raise.
         """
         try:
-            return canonicalize_statement(parse_statement(statement))
+            return canonicalize_statement(self._parse(statement))
         except Exception:  # noqa: BLE001 — journal metadata only
             return None
 
@@ -605,10 +615,61 @@ class MiningService:
         timeout: Optional[float] = 300.0,
         trace: bool = False,
     ) -> Job:
-        """Queue one statement and wait for its terminal state."""
-        job = self.submit(statement, priority=priority, budget=budget, trace=trace)
-        job.wait(timeout)
+        """Answer one statement: a cache hit at once, else queue and wait."""
+        job = self.answer_cached(statement, priority=priority, budget=budget, trace=trace)
+        if job is None:
+            job = self.submit(statement, priority=priority, budget=budget, trace=trace)
+            job.wait(timeout)
         return job
+
+    def answer_cached(
+        self,
+        statement: str,
+        priority: int = 0,
+        budget: Optional[RunBudget] = None,
+        trace: object = False,
+        idempotency_key: Optional[str] = None,
+    ) -> Optional[Job]:
+        """Answer a result-cache hit on the calling thread, before admission.
+
+        Returns a finished ``cached`` job when ``statement`` is a MINE
+        whose result either cache tier holds for the current store
+        content.  The job joins the scheduler's in-memory history
+        (pollable, idempotency-keyed) but is never queued and never
+        journaled: a hit changes no durable state.
+
+        Returns ``None`` for everything else, and the caller admits the
+        request through :meth:`submit` unchanged: traced requests, a
+        known idempotency key (``submit`` re-attaches), a draining or
+        closed service (``submit`` refuses), unparseable and non-MINE
+        statements, and misses, which the admitted job's own lookup
+        counts.
+        """
+        if trace or not self.scheduler.accepts_new(idempotency_key):
+            return None
+        submitted_at = time.time()
+        probe = ResourceProbe()
+        try:
+            parsed = self._parse(statement)
+            if not isinstance(parsed, CACHEABLE_STATEMENTS):
+                return None
+            _, key = self._cache_address(parsed, budget)
+        except ReproError:
+            # A parse or store error: the admitted job reports it.
+            return None
+        result = self.cache.get_hit(key)
+        if result is None:
+            return None
+        # Picked up by _on_job_finished, which record_hit runs on this thread.
+        self._tls.attribution = probe.finish()
+        return self.scheduler.record_hit(
+            statement,
+            result,
+            submitted_at,
+            priority=priority,
+            budget=budget,
+            idempotency_key=idempotency_key,
+        )
 
     def job(self, job_id: str) -> Job:
         return self.scheduler.get(job_id)
@@ -820,18 +881,17 @@ class MiningService:
         record rather than in the cacheable payload, keeping cached
         results byte-identical across runs while calibration drifts.
         """
-        statement = parse_statement(statement_text)
+        statement = self._parse(statement_text)
         if isinstance(statement, SESSION_ONLY_STATEMENTS):
             raise TmlExecutionError(
                 "session-level SET statements are not supported over the "
                 "service API; pass a per-request budget instead"
             )
-        canonical = canonicalize_statement(statement)
         # Traced runs bypass the cache in both directions: their payload
         # embeds run-specific timings (never bit-stable), and serving a
         # cached untraced result would silently drop the trace.
         if isinstance(statement, CACHEABLE_STATEMENTS) and not trace:
-            return self._execute_cacheable(statement, canonical, token, budget)
+            return self._execute_cacheable(statement, token, budget)
         mutating = isinstance(statement, SqlStatement) and is_mutating_sql(
             statement.sql
         )
@@ -845,17 +905,31 @@ class MiningService:
             result["old_fingerprint"] = old_fingerprint
         return result, False, plan
 
+    def _cache_address(
+        self, statement: Statement, budget: Optional[RunBudget]
+    ) -> Tuple[str, str]:
+        """``(store fingerprint, cache key)`` of a cacheable statement now.
+
+        The one key computation: the pre-admission probe and the
+        admitted run both use it, so they always address one entry.
+        """
+        fingerprint = self.store.fingerprint()
+        key = cache_key(
+            canonicalize_statement(statement), fingerprint, self._settings(budget)
+        )
+        return fingerprint, key
+
     def _execute_cacheable(
         self,
         statement: Statement,
-        canonical: str,
         token: CancellationToken,
         budget: Optional[RunBudget],
     ) -> Tuple[Dict, bool, Optional[Dict]]:
-        fingerprint = self.store.fingerprint()
-        key = cache_key(canonical, fingerprint, self._settings(budget))
+        fingerprint, key = self._cache_address(statement, budget)
         # Single flight per key: concurrent identical queries block here
-        # while the first one mines, then read its cached result.
+        # while the first one mines, then read its cached result.  The
+        # lookup stays here although answer_cached probed first: a
+        # follower finds the leader's result only after waiting.
         with self._single_flight(key) as waited:
             if waited:
                 self._m_single_flight_waits.inc()

@@ -164,13 +164,21 @@ class DiskCacheTier:
         A hit refreshes the entry's LRU position; an expired entry is
         deleted and reported as a miss.
         """
+        return self._get(key, count_miss=True)
+
+    def get_hit(self, key: str) -> Optional[Tuple[Dict, str]]:
+        """:meth:`get` whose miss is left to a later ``get`` to count."""
+        return self._get(key, count_miss=False)
+
+    def _get(self, key: str, count_miss: bool) -> Optional[Tuple[Dict, str]]:
         with self._lock:
             row = self._connection.execute(
                 "SELECT blob, fingerprint, created_at FROM results WHERE key = ?",
                 (key,),
             ).fetchone()
             if row is None:
-                self._m_events.inc(event="miss")
+                if count_miss:
+                    self._m_events.inc(event="miss")
                 return None
             blob, fingerprint, created_at = row
             if (
@@ -187,7 +195,8 @@ class DiskCacheTier:
                     "disk cache expire",
                 )
                 self._m_events.inc(event="expiration")
-                self._m_events.inc(event="miss")
+                if count_miss:
+                    self._m_events.inc(event="miss")
                 self._m_entries.set(len(self))
                 return None
             self._use_seq += 1

@@ -9,13 +9,16 @@ Endpoints (all JSON):
     Body ``{"query": "<TML>", "async": bool, "priority": int,
     "budget": {"time": s, "candidates": n, "rules": n, "strict": bool},
     "timeout": seconds, "idempotency_key": str}``.
-    Synchronous by default — the request is admitted through the
-    scheduler (bounded concurrency applies) and the response carries the
-    finished job record.  With ``"async": true`` the response is ``202``
-    with the job id to poll.  ``idempotency_key`` makes the POST
-    retry-safe: a resubmission carrying a key the service has seen
-    returns the existing job instead of admitting a duplicate (the key
-    is journaled, so the guarantee spans a crash-restart).
+    Synchronous by default — the response carries the finished job
+    record.  A result-cache hit is answered on the handler thread
+    before admission (no queue, no journal write); anything else is
+    admitted through the scheduler (bounded concurrency applies).  With
+    ``"async": true`` the request is always admitted and the response
+    is ``202`` with the job id to poll.  ``idempotency_key`` makes the
+    POST retry-safe: a resubmission carrying a key the service has seen
+    returns the existing job instead of admitting a duplicate (an
+    admitted job's key is journaled, so the guarantee spans a
+    crash-restart; a hit's lives in memory only).
 
 ``POST /v1/transactions``
     Body ``{"transactions": [{"ts": "<ISO timestamp>", "items":
@@ -174,13 +177,25 @@ class MiningRequestHandler(JsonRequestHandler):
         if parent is not None:
             trace = parent.child()
         timeout = float(payload.get("timeout", SYNC_TIMEOUT_SECONDS))
-        job = self.server.service.submit(
+        idempotency_key = _idempotency_key(payload)
+        service = self.server.service
+        # A synchronous cache hit is answered here, before admission;
+        # anything else is admitted and journaled.
+        job = None if wants_async else service.answer_cached(
             query,
             priority=priority,
             budget=budget,
             trace=trace,
-            idempotency_key=_idempotency_key(payload),
+            idempotency_key=idempotency_key,
         )
+        if job is None:
+            job = service.submit(
+                query,
+                priority=priority,
+                budget=budget,
+                trace=trace,
+                idempotency_key=idempotency_key,
+            )
         if wants_async:
             self.send_json(202, _job_document(job))
             return

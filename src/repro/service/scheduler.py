@@ -23,6 +23,12 @@ Lifecycle::
   :meth:`restore_terminal` are the restart-recovery entry points;
   :meth:`drain` is the graceful-shutdown one; :meth:`abandon` is the
   chaos seam that emulates ``kill -9``.
+* **Cache hits skip the queue** — :meth:`record_hit` keeps a job the
+  service answered from its result cache on the calling thread: done
+  on arrival, pollable and idempotency-keyed, never queued, never
+  journaled.  :meth:`accepts_new` is the check the service makes first,
+  so a draining scheduler or a known key still goes through
+  :meth:`submit`.
 * **Idempotent admission** — a submission carrying an idempotency key
   the scheduler has already seen returns the *existing* job instead of
   admitting a duplicate, which is what makes client-side retries of a
@@ -451,16 +457,14 @@ class JobScheduler:
         with self._available:
             if self._closed:
                 raise ServiceError("scheduler is closed")
-            if idempotency_key:
-                existing_id = self._idempotency.get(idempotency_key)
-                existing = self._jobs.get(existing_id) if existing_id else None
-                if existing is not None:
-                    logger.info(
-                        "idempotency key %s re-attached to job %s",
-                        idempotency_key,
-                        existing.job_id,
-                    )
-                    return existing
+            existing = self._keyed_job_locked(idempotency_key)
+            if existing is not None:
+                logger.info(
+                    "idempotency key %s re-attached to job %s",
+                    idempotency_key,
+                    existing.job_id,
+                )
+                return existing
             if self._draining:
                 remaining = (
                     max(0.0, self._drain_deadline - self._clock())
@@ -523,6 +527,66 @@ class JobScheduler:
             )
             self._m_queue_depth.set(self._queued)
             self._available.notify()
+            return job
+
+    def _keyed_job_locked(self, idempotency_key: Optional[str]) -> Optional[Job]:
+        """The retained job an idempotency key belongs to, if any."""
+        if not idempotency_key:
+            return None
+        job_id = self._idempotency.get(idempotency_key)
+        return self._jobs.get(job_id) if job_id else None
+
+    def accepts_new(self, idempotency_key: Optional[str] = None) -> bool:
+        """Whether :meth:`submit` would create a new job right now.
+
+        False while closed or draining (``submit`` raises) and for an
+        idempotency key this scheduler already knows (``submit``
+        re-attaches to that job).
+        """
+        with self._lock:
+            if self._closed or self._draining:
+                return False
+            return self._keyed_job_locked(idempotency_key) is None
+
+    def record_hit(
+        self,
+        statement: str,
+        result: Dict,
+        submitted_at: float,
+        priority: int = 0,
+        budget: Optional[RunBudget] = None,
+        idempotency_key: Optional[str] = None,
+    ) -> Job:
+        """Keep a result-cache hit the caller answered without queueing it.
+
+        The job is counted as admitted and done and stays pollable and
+        idempotency-keyed like any other, but it is never queued, never
+        handed to a worker and never journaled: it changed no durable
+        state, so a restart forgets it.  ``on_finished`` runs on the
+        calling thread.  When a racing request claimed the same
+        idempotency key first, that job is returned instead.
+        """
+        with self._available:
+            existing = self._keyed_job_locked(idempotency_key)
+            if existing is not None:
+                return existing
+            job = Job(
+                job_id=uuid.uuid4().hex[:12],
+                statement=statement,
+                priority=priority,
+                budget=budget,
+                submitted_at=submitted_at,
+                started_at=submitted_at,
+                result=result,
+                cached=True,
+                idempotency_key=idempotency_key,
+            )
+            self._jobs[job.job_id] = job
+            if idempotency_key:
+                self._idempotency[idempotency_key] = job.job_id
+            self._m_admitted.inc()
+            self._call_on_finished(job, DONE)
+            self._finish_locked(job, DONE, journal=False)
             return job
 
     def resubmit(self, record: JournalRecord) -> Job:

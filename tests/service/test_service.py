@@ -199,6 +199,36 @@ class TestStatus:
         assert document["config"]["default_budget"] == "off"
         assert document["config"]["mining_workers"] == "auto"
 
+    def test_status_counts_transactions_once_per_content(self, tmp_path, tiny_db):
+        import sqlite3
+        from datetime import datetime
+
+        path = str(tmp_path / "store.db")
+        with MiningService(store=path, config=ServiceConfig(workers=1)) as svc:
+            svc.load_database(tiny_db)
+            statements = []
+            svc.store.connection.set_trace_callback(statements.append)
+
+            def counts():
+                return sum("COUNT(DISTINCT" in sql for sql in statements)
+
+            assert svc.status()["store"]["transactions"] == len(tiny_db)
+            assert svc.status()["store"]["transactions"] == len(tiny_db)
+            assert counts() == 1
+            svc.append_transactions([(datetime(2026, 3, 9), ["bread"])])
+            assert svc.status()["store"]["transactions"] == len(tiny_db) + 1
+            foreign = sqlite3.connect(path)
+            try:
+                foreign.execute(
+                    "INSERT INTO transactions (tid, ts, item) VALUES (999, ?, 'milk')",
+                    (datetime(2026, 3, 10).isoformat(),),
+                )
+                foreign.commit()
+            finally:
+                foreign.close()
+            assert svc.status()["store"]["transactions"] == len(tiny_db) + 2
+            assert counts() == 3
+
 
 class TestPlanOnJobRecord:
     def test_mine_job_records_its_plan(self, service):
