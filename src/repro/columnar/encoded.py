@@ -14,15 +14,15 @@ parallel columns instead of Python objects:
 Transactions are ordered by (timestamp, tid), so any time range — in
 particular one granularity unit — is a contiguous position range, and
 slicing it (:meth:`EncodedDatabase.segment`) is zero-copy.  The layout
-is what the whole mining stack scans; the Python
-:class:`~repro.core.transactions.Transaction` objects exist only at the
-construction/IO boundary.
+is what the whole mining stack scans and the only in-memory form on the
+serving path; :class:`~repro.core.transactions.Transaction` objects exist
+only behind the library's construction API.
 """
 
 from __future__ import annotations
 
 from datetime import datetime
-from itertools import chain
+from itertools import chain, compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -219,30 +219,24 @@ class EncodedDatabase:
         bounds = np.searchsorted(units, edges, side="left")
         return first_unit, bounds
 
+    def select(self, mask: np.ndarray) -> "EncodedDatabase":
+        """The transactions where the boolean row ``mask`` holds (catalog shared)."""
+        sizes = np.diff(self.offsets)
+        offsets = np.zeros(int(np.count_nonzero(mask)) + 1, dtype=np.int64)
+        np.cumsum(sizes[mask], out=offsets[1:])
+        return EncodedDatabase(
+            self.item_ids[np.repeat(mask, sizes)],
+            offsets,
+            self.tids[mask],
+            tuple(compress(self.timestamps, mask.tolist())),
+            catalog=self.catalog,
+            stamps=self.stamps[mask],
+        )
+
     def segment(self, lo: int = 0, hi: Optional[int] = None) -> "EncodedSegment":
         """A zero-copy view of the position range ``[lo, hi)``."""
         hi = len(self) if hi is None else hi
         return EncodedSegment(self, lo, hi)
-
-    # ------------------------------------------------------------------
-    # interop
-    # ------------------------------------------------------------------
-
-    def to_transaction_database(self):
-        """Materialize classic :class:`Transaction` objects (IO boundary)."""
-        from repro.core.transactions import Transaction, TransactionDatabase
-        from repro.core.items import Itemset
-
-        database = TransactionDatabase(catalog=self.catalog)
-        for position in range(len(self)):
-            database.append(
-                Transaction(
-                    tid=int(self.tids[position]),
-                    timestamp=self.timestamps[position],
-                    items=Itemset(self.basket(position)),
-                )
-            )
-        return database
 
     def __repr__(self) -> str:
         return (

@@ -5,19 +5,37 @@ component that the ICDE 2000 paper observes "is usually attached to
 transactions in databases" and that traditional association mining
 overlooks.  Timestamps are ordinary :class:`datetime.datetime` values.
 
-:class:`TransactionDatabase` is the in-memory store all mining algorithms
-consume.  The SQLite-backed store (:mod:`repro.db.sqlite_store`) loads into
-this structure for mining.
+:class:`TransactionDatabase` is the library's construction API; mining
+scans its columnar form (:meth:`TransactionDatabase.encoded`), which the
+serving path loads from the store directly, never building these objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.items import Item, ItemCatalog, Itemset
 from repro.errors import TransactionError
+
+
+def check_basket(items: Iterable[object]) -> List[Union[str, Item]]:
+    """One basket's elements; raises unless each is an item id or a label."""
+    elements: List[Union[str, Item]] = []
+    for element in items:
+        if not isinstance(element, (str, int)):
+            raise TransactionError(f"cannot interpret {element!r} as an item")
+        elements.append(element)
+    return elements
+
+
+def basket_ids(items: Iterable[object], catalog: ItemCatalog) -> List[Item]:
+    """The ids of one basket of ids or labels; labels register on first use."""
+    return [
+        catalog.add(element) if isinstance(element, str) else element
+        for element in check_basket(items)
+    ]
 
 
 @dataclass(frozen=True)
@@ -119,17 +137,11 @@ class TransactionDatabase:
         ``items`` may be item ids or labels; labels are registered in the
         catalog on first use.
         """
-        ids: List[Item] = []
-        for element in items:
-            if isinstance(element, str):
-                ids.append(self._catalog.add(element))
-            elif isinstance(element, int):
-                ids.append(element)
-            else:
-                raise TransactionError(f"cannot interpret {element!r} as an item")
         if tid is None:
             tid = self._next_tid
-        transaction = Transaction(tid=tid, timestamp=timestamp, items=Itemset(ids))
+        transaction = Transaction(
+            tid=tid, timestamp=timestamp, items=Itemset(basket_ids(items, self._catalog))
+        )
         self.append(transaction)
         return transaction
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.columnar.encoded import EncodedDatabase
-from repro.core.items import Item, ItemCatalog
+from repro.core.items import Item
 from repro.errors import TransactionError
 from repro.temporal.granularity import Granularity, stamp_column, unit_indices
 
@@ -82,11 +82,7 @@ def _flatten(chunks: Sequence[Tuple[Item, ...]]) -> Tuple[np.ndarray, np.ndarray
     return flat, sizes
 
 
-def append_encoded(
-    encoded: EncodedDatabase,
-    batch: Sequence[AppendTriple],
-    catalog: Optional[ItemCatalog] = None,
-) -> AppendResult:
+def append_encoded(encoded: EncodedDatabase, batch: Sequence[AppendTriple]) -> AppendResult:
     """Fold ``batch`` triples into ``encoded``, returning a new database.
 
     ``batch`` entries are ``(tid, timestamp, item_ids)``; any order is
@@ -97,7 +93,6 @@ def append_encoded(
     entries = _normalize(batch)
     if not entries:
         return AppendResult(encoded=encoded, appended=0, in_order=True)
-    catalog = catalog if catalog is not None else encoded.catalog
     new_stamps = tuple(stamp for stamp, _, _ in entries)
     new_tids = np.fromiter((tid for _, tid, _ in entries), dtype=np.int64, count=len(entries))
     new_chunks = [chunk for _, _, chunk in entries]
@@ -119,7 +114,7 @@ def append_encoded(
             offsets.astype(np.int64, copy=False),
             tids,
             encoded.timestamps + new_stamps,
-            catalog=catalog,
+            catalog=encoded.catalog,
             stamps=np.concatenate([encoded.stamps, stamp_column(new_stamps)]),
         )
         return AppendResult(
@@ -174,7 +169,7 @@ def append_encoded(
         offsets,
         out_tids,
         tuple(out_stamps),
-        catalog=catalog,
+        catalog=encoded.catalog,
     )
     return AppendResult(
         encoded=merged, appended=len(entries), in_order=False, timestamps=new_stamps

@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import time
 from datetime import datetime
-from itertools import compress
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
-from repro.core.apriori import AprioriOptions, apriori
+from repro.columnar.encoded import EncodedDatabase
+from repro.core.apriori import AnyDatabase, AprioriOptions, apriori
 from repro.core.rulegen import generate_rules
-from repro.core.transactions import Transaction, TransactionDatabase
 from repro.errors import MiningParameterError
 from repro.mining.results import ConstrainedRule, MiningReport
 from repro.mining.tasks import ConstrainedTask, TemporalFeature
 from repro.obs.trace import tracer_of
 from repro.runtime.budget import RunInterrupted, RunMonitor
 from repro.temporal.calendar_algebra import CalendarExpression, CalendarPattern
-from repro.temporal.granularity import Granularity, unit_index, unit_indices
+from repro.temporal.granularity import Granularity, stamp_column, unit_index, unit_indices
 from repro.temporal.interval import IntervalSet, TimeInterval
 from repro.temporal.periodicity import CalendricPeriodicity, CyclicPeriodicity
 
@@ -84,41 +83,38 @@ def describe_feature(feature: TemporalFeature) -> str:
 
 
 def restrict_database(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     feature: TemporalFeature,
     granularity: Granularity,
-) -> TransactionDatabase:
-    """The sub-database of transactions inside the temporal feature.
+) -> EncodedDatabase:
+    """The encoded sub-database of transactions inside the temporal feature.
 
-    Intervals take one binary-searched slice.  Unit-based features
-    (periodicities) classify each *distinct* unit once: the unit of every
-    transaction comes from the encoded timestamp column
-    (:func:`~repro.temporal.granularity.unit_indices`), and the members
-    are selected by boolean mask.  Calendar patterns and expressions test
-    each instant.
+    One boolean row mask selects the members: intervals compare the
+    stamp column against their half-open bounds, unit-based features
+    (periodicities) classify each *distinct* unit once, and calendar
+    patterns and expressions test each instant.
     """
+    encoded = database if isinstance(database, EncodedDatabase) else database.encoded()
     if isinstance(feature, TimeInterval):
-        # Fast path: one binary-searched slice.
-        return database.between(feature.start, feature.end)
-    if isinstance(feature, (CyclicPeriodicity, CalendricPeriodicity)):
-        units = unit_indices(database.encoded().stamps, feature.granularity)
+        start, end = stamp_column((feature.start, feature.end))
+        mask = (encoded.stamps >= start) & (encoded.stamps < end)
+    elif isinstance(feature, (CyclicPeriodicity, CalendricPeriodicity)):
+        units = unit_indices(encoded.stamps, feature.granularity)
         distinct, positions = np.unique(units, return_inverse=True)
         member = np.fromiter(
             map(feature.matches_unit, distinct.tolist()), dtype=bool, count=len(distinct)
         )
-        return TransactionDatabase(
-            compress(database, member[positions].tolist()), catalog=database.catalog
+        mask = member[positions]
+    else:
+        predicate = feature_predicate(feature, granularity)
+        mask = np.fromiter(
+            map(predicate, encoded.timestamps), dtype=bool, count=len(encoded)
         )
-    predicate = feature_predicate(feature, granularity)
-
-    def transaction_in_feature(transaction: Transaction) -> bool:
-        return predicate(transaction.timestamp)
-
-    return database.restrict(transaction_in_feature)
+    return encoded.select(mask)
 
 
 def mine_with_feature(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     task: ConstrainedTask,
     apriori_options: Optional[AprioriOptions] = None,
     counting: str = "auto",

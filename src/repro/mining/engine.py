@@ -18,12 +18,15 @@ import dataclasses
 import json
 import os
 import warnings
-from typing import Callable, Dict, Optional, Tuple, Union
+from datetime import datetime
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.columnar.backends import validate_backend_name
-from repro.core.apriori import AprioriOptions
-from repro.core.transactions import TransactionDatabase
-from repro.errors import MiningParameterError
+from repro.columnar.encoded import EncodedDatabase
+from repro.core.apriori import AnyDatabase, AprioriOptions
+from repro.core.items import Itemset
+from repro.core.transactions import Transaction, basket_ids, check_basket
+from repro.errors import MiningParameterError, TransactionError
 from repro.incremental import IncrementalContext, append_encoded
 from repro.mining.constrained import mine_with_feature
 from repro.mining.context import TemporalContext
@@ -42,7 +45,6 @@ from repro.planner import (
     StatementShape,
     StoreStats,
     choose_refresh,
-    compute_stats,
     plan_query,
     record_observed,
     stats_of_encoded,
@@ -98,6 +100,20 @@ def _make_monitor(
     return RunMonitor(
         budget=budget, token=token, granule_hook=granule_hook, metrics=metrics
     )
+
+
+def _checked_row(entry: Sequence) -> Tuple[datetime, List[Union[str, int]], Optional[int]]:
+    """One appended ``(timestamp, items[, tid])`` row, validated but unapplied."""
+    timestamp, items = entry[0], entry[1]
+    tid = entry[2] if len(entry) > 2 else None
+    if not isinstance(timestamp, datetime):
+        raise TransactionError(
+            f"append timestamps must be datetimes, got {timestamp!r}"
+        )
+    basket = check_basket(items)
+    if not basket:
+        raise TransactionError(f"cannot append an empty transaction (tid={tid})")
+    return timestamp, basket, tid
 
 
 def _workers_from_env() -> Optional[int]:
@@ -171,21 +187,25 @@ class TemporalMiner:
 
     def __init__(
         self,
-        database: TransactionDatabase,
+        database: AnyDatabase,
         counting: str = "auto",
         workers: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: TraceSetting = False,
         incremental: Optional[str] = None,
     ):
-        self.database = database
+        #: The one form every task scans and :meth:`apply_append` folds.
+        self.database: EncodedDatabase = (
+            database if isinstance(database, EncodedDatabase) else database.encoded()
+        )
+        #: A library caller's database, which appends keep in step.
+        self._source = None if isinstance(database, EncodedDatabase) else database
         self.counting = counting
         self.metrics = metrics
         self.trace = trace
         self._contexts: Dict[Granularity, TemporalContext] = {}
         self.workers: Optional[int] = None
         self._executor: Optional[ShardedExecutor] = None
-        self._db_stats: Optional[StoreStats] = None
         self.incremental = "off"
         self.set_incremental(
             incremental if incremental is not None else _incremental_from_env()
@@ -304,47 +324,52 @@ class TemporalMiner:
         return context
 
     def invalidate(self) -> None:
-        """Drop cached partitionings (call after mutating the database)."""
+        """Drop the cached partitionings; the encoding itself stays."""
         self._contexts.clear()
-        self._db_stats = None
 
-    def apply_append(self, transactions) -> int:
-        """Fold appended transactions into the miner without a rebuild.
+    def apply_append(self, transactions: Iterable[Sequence]) -> int:
+        """Fold appended transactions into the miner's encoding.
 
-        ``transactions`` is an iterable of ``(timestamp, items)`` or
-        ``(timestamp, items, tid)`` tuples (items may be labels or ids;
-        ``tid=None`` auto-assigns).  The attached database gains the
-        rows either way; with incremental maintenance enabled the cached
-        per-granularity contexts are *rebased* — the CSR layout extended
-        in place of a re-encode, the touched units marked dirty, cached
-        per-unit counts retained — otherwise they are simply dropped.
-        Returns the number of transactions applied.
+        ``transactions`` holds ``(timestamp, items)`` or ``(timestamp,
+        items, tid)`` tuples (items are labels or ids; ``tid=None``
+        auto-assigns).  A bad row anywhere raises
+        :class:`~repro.errors.TransactionError` before any state moves.
+        Every incremental mode then takes the same steps: map labels to
+        ids, assign tids, fold with
+        :func:`~repro.incremental.append_encoded`, rebase each cached
+        :class:`IncrementalContext` (touched units dirty, per-unit counts
+        kept) and drop each plain :class:`TemporalContext`.
+
+        A :class:`TransactionDatabase` given at construction gains the
+        rows too, so a miner built from it later sees them; a miner over
+        an encoding (the serving path) builds no objects.  Returns the
+        number of transactions applied.
         """
-        batch = list(transactions)
-        if not batch:
+        rows = [_checked_row(entry) for entry in transactions]
+        if not rows:
             return 0
-        added = []
-        for entry in batch:
-            timestamp, items = entry[0], entry[1]
-            tid = entry[2] if len(entry) > 2 else None
-            added.append(self.database.add(timestamp, items, tid=tid))
-        self._db_stats = None
-        if self.incremental == "off" or not self._contexts:
-            self.invalidate()
-            return len(added)
-        triples = [
-            (transaction.tid, transaction.timestamp, transaction.items.items)
-            for transaction in added
-        ]
-        for granularity, context in list(self._contexts.items()):
-            if not isinstance(context, IncrementalContext):
-                del self._contexts[granularity]
-                continue
-            result = append_encoded(context.encoded, triples)
-            self._contexts[granularity] = context.rebased(
-                result.encoded, result.touched_units(granularity)
+        encoded = self.database
+        next_tid = int(encoded.tids.max()) + 1 if len(encoded) else 0
+        triples = []
+        for timestamp, items, tid in rows:
+            if tid is None:
+                tid = next_tid
+            next_tid = max(next_tid, tid + 1)
+            triples.append((tid, timestamp, basket_ids(items, encoded.catalog)))
+        result = append_encoded(encoded, triples)
+        self.database = result.encoded
+        if self._source is not None:
+            self._source.extend(
+                Transaction(tid, timestamp, Itemset(ids)) for tid, timestamp, ids in triples
             )
-        return len(added)
+        for granularity, context in list(self._contexts.items()):
+            if isinstance(context, IncrementalContext):
+                self._contexts[granularity] = context.rebased(
+                    result.encoded, result.touched_units(granularity)
+                )
+            else:
+                del self._contexts[granularity]
+        return len(rows)
 
     def refresh_for(self, granularity: Granularity) -> Optional[RefreshDecision]:
         """The refresh decision the next run at ``granularity`` would take.
@@ -393,14 +418,8 @@ class TemporalMiner:
     # ------------------------------------------------------------------
 
     def stats(self) -> StoreStats:
-        """Planner statistics of the attached database (memoized)."""
-        if self._db_stats is None:
-            if self._contexts:
-                context = next(iter(self._contexts.values()))
-                self._db_stats = stats_of_encoded(context.encoded)
-            else:
-                self._db_stats = compute_stats(self.database)
-        return self._db_stats
+        """Planner statistics of the miner's encoding (memoized on it)."""
+        return stats_of_encoded(self.database)
 
     def plan_for(
         self,

@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.apriori import AnyDatabase
 from repro.core.items import ItemCatalog, Itemset
-from repro.core.transactions import TransactionDatabase
 from repro.mining.context import PerUnitCounts, TemporalContext, per_unit_frequent_itemsets
 from repro.mining.results import MiningReport, ValidPeriod
 from repro.mining.tasks import ValidPeriodTask
@@ -51,7 +51,7 @@ class ItemsetPeriods:
 
 
 def discover_itemset_periods(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     task: ValidPeriodTask,
     min_size: int = 2,
     context: Optional[TemporalContext] = None,

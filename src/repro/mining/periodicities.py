@@ -23,10 +23,9 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from repro.core.apriori import generate_candidates
+from repro.core.apriori import AnyDatabase, generate_candidates
 from repro.core.items import Itemset
 from repro.core.rulegen import RuleKey
-from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
 from repro.mining.context import PerUnitCounts, TemporalContext, per_unit_frequent_itemsets
 from repro.mining.results import MiningReport, PeriodicityFinding
@@ -230,7 +229,7 @@ def periodicity_findings(
 
 
 def discover_periodicities(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     task: PeriodicityTask,
     context: Optional[TemporalContext] = None,
     counts: Optional[PerUnitCounts] = None,
@@ -317,7 +316,7 @@ def _sequence_cycles_exact(
 
 
 def discover_cyclic_interleaved(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     task: PeriodicityTask,
     context: Optional[TemporalContext] = None,
     counting: str = "auto",

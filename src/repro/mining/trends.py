@@ -20,8 +20,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.apriori import AnyDatabase
 from repro.core.items import ItemCatalog, Itemset
-from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
 from repro.mining.context import TemporalContext, per_unit_frequent_itemsets
 from repro.mining.results import MiningReport
@@ -92,7 +92,7 @@ def fit_trend(supports: np.ndarray) -> Tuple[float, float, float, float]:
 
 
 def detect_trends(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     granularity: Granularity,
     min_support: float,
     min_total_change: float = 0.1,

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.transactions import TransactionDatabase
+from repro.core.apriori import AnyDatabase
 from repro.mining.context import PerUnitCounts, TemporalContext, per_unit_frequent_itemsets
 from repro.mining.results import MiningReport, ValidPeriod, ValidPeriodRule
 from repro.mining.rulespace import RuleTable, RuleUnitSeries, candidate_rules, maximal_runs
@@ -174,7 +174,7 @@ def periods_for_series(
 
 
 def discover_valid_periods(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     task: ValidPeriodTask,
     context: Optional[TemporalContext] = None,
     counts: Optional[PerUnitCounts] = None,

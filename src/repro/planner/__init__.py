@@ -43,7 +43,6 @@ from repro.planner.refresh import (
 from repro.planner.stats import (
     StoreStats,
     compute_stats,
-    stats_of_database,
     stats_of_encoded,
 )
 
@@ -67,6 +66,5 @@ __all__ = [
     "pinned_plan",
     "plan_query",
     "record_observed",
-    "stats_of_database",
     "stats_of_encoded",
 ]

@@ -2,9 +2,9 @@
 
 :class:`StoreStats` is a tiny frozen summary — |D|, item cardinality,
 occurrence volume, time span — from which every cost estimate in
-:mod:`repro.planner.cost` is derived.  It is cheap to compute (one pass
-over CSR metadata, no per-basket Python work for encoded sources) and
-cheap to memoize:
+:mod:`repro.planner.cost` is derived.  It is read from the encoding alone
+(O(1) over CSR metadata, no per-basket Python work) and cheap to
+memoize:
 
 * :func:`stats_of_encoded` caches on the
   :class:`~repro.columnar.encoded.EncodedDatabase` itself (encoded
@@ -108,37 +108,14 @@ def stats_of_encoded(encoded) -> StoreStats:
     return stats
 
 
-def stats_of_database(database) -> StoreStats:
-    """Statistics of an in-memory ``TransactionDatabase`` (one scan)."""
-    n = 0
-    occurrences = 0
-    first: Optional[datetime] = None
-    last: Optional[datetime] = None
-    for transaction in database:
-        n += 1
-        occurrences += len(transaction.items.items)
-        if first is None:
-            first = transaction.timestamp
-        last = transaction.timestamp
-    n_items = len(database.catalog) if database.catalog is not None else 0
-    return StoreStats(
-        n_transactions=n,
-        n_items=n_items,
-        n_occurrences=occurrences,
-        first_timestamp=first,
-        last_timestamp=last,
-    )
-
-
 def compute_stats(source) -> StoreStats:
     """Statistics of any supported transaction source.
 
     Accepts a :class:`StoreStats` (returned as-is), an
     :class:`~repro.columnar.encoded.EncodedDatabase`, or an in-memory
-    ``TransactionDatabase``.
+    ``TransactionDatabase`` — read through its memoized encoding, so
+    every source is counted the same way, id-only items included.
     """
     if isinstance(source, StoreStats):
         return source
-    if hasattr(source, "offsets"):
-        return stats_of_encoded(source)
-    return stats_of_database(source)
+    return stats_of_encoded(source if hasattr(source, "offsets") else source.encoded())

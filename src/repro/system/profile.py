@@ -13,8 +13,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.apriori import AnyDatabase
 from repro.core.items import ItemCatalog, Itemset, itemset_from_any
-from repro.core.transactions import TransactionDatabase
 from repro.mining.context import TemporalContext
 from repro.temporal.granularity import Granularity, unit_label
 
@@ -95,7 +95,7 @@ class TemporalProfile:
 
 
 def support_profile(
-    database: TransactionDatabase,
+    database: AnyDatabase,
     itemset: object,
     granularity: Granularity,
     context: Optional[TemporalContext] = None,

@@ -95,8 +95,7 @@ class IqmsSession:
         from repro.db.sqlite_store import load_csv
 
         loaded = load_csv(self.store, path)
-        database = self.store.load_database()
-        self.environment.register(name, database)
+        self.environment.register(name, self.store.load_encoded())
         self.environment.mark_store_backed(name)
         self.workflow.record(f"loaded {loaded} transactions from {path}")
         return loaded

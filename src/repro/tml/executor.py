@@ -8,17 +8,21 @@ integrated query function — and dispatches:
 * ``SHOW ...``   → the canned data-understanding queries,
 * raw SQL        → :func:`repro.db.query.run_query`.
 
-Every execution returns an :class:`ExecutionResult` carrying both the
-structured payload and a rendered text form for the REPL.
+Every execution returns an :class:`ExecutionResult` carrying the
+structured payload and, rendered when read, a text form for the REPL.
+Datasets are held as :class:`~repro.columnar.encoded.EncodedDatabase`
+only: the store loads straight into it and appended rows fold into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, Optional, Union
+from functools import partial
+from typing import Callable, Dict, Optional, Union
 
 from repro.columnar.backends import validate_backend_name
+from repro.columnar.encoded import EncodedDatabase
 from repro.core.transactions import TransactionDatabase
 from repro.db.query import (
     QueryResult,
@@ -36,9 +40,6 @@ from repro.mining.engine import (
     _incremental_from_env,
     _workers_from_env,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import format_trace
-from repro.runtime.budget import CancellationToken, RunBudget
 from repro.mining.results import MiningReport
 from repro.mining.tasks import (
     ConstrainedTask,
@@ -46,6 +47,9 @@ from repro.mining.tasks import (
     RuleThresholds,
     ValidPeriodTask,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import format_trace
+from repro.runtime.budget import CancellationToken, RunBudget
 from repro.temporal.calendar_algebra import CalendarPattern
 from repro.temporal.granularity import Granularity
 from repro.temporal.interval import TimeInterval
@@ -57,13 +61,13 @@ from repro.tml.ast import (
     ExplainStatement,
     FeatureSpec,
     MineItemsetsStatement,
-    MineTrendsStatement,
     MinePeriodicitiesStatement,
     MinePeriodsStatement,
     MineRulesStatement,
+    MineTrendsStatement,
     NamedCalendarFeature,
-    ProfileStatement,
     PeriodFeature,
+    ProfileStatement,
     SetBudgetStatement,
     SetEngineStatement,
     SetIncrementalStatement,
@@ -78,11 +82,19 @@ from repro.tml.parser import parse_script, parse_statement
 
 @dataclass
 class ExecutionResult:
-    """Outcome of one statement: a payload plus its text rendering."""
+    """Outcome of one statement: a payload plus its text rendering.
+
+    The text is rendered when read — the REPL prints it, while the
+    mining service serializes the payload and never pays for it.
+    """
 
     statement: Statement
     payload: Union[MiningReport, QueryResult]
-    text: str
+    render: Callable[[], str] = field(repr=False, compare=False)
+
+    @property
+    def text(self) -> str:
+        return self.render()
 
     def __str__(self) -> str:
         return self.text
@@ -103,7 +115,7 @@ class ExecutionEnvironment:
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.store = store
-        self.datasets: Dict[str, TransactionDatabase] = {}
+        self.datasets: Dict[str, EncodedDatabase] = {}
         self._miners: Dict[str, TemporalMiner] = {}
         self._store_backed: set = set()
         self.budget: Optional[RunBudget] = None
@@ -119,8 +131,12 @@ class ExecutionEnvironment:
         # deterministically.  None in normal operation.
         self.granule_hook = None
 
-    def register(self, name: str, database: TransactionDatabase) -> None:
-        """Expose an in-memory database under ``name``."""
+    def register(
+        self, name: str, database: Union[TransactionDatabase, EncodedDatabase]
+    ) -> None:
+        """Expose an in-memory database (held as its encoding) under ``name``."""
+        if isinstance(database, TransactionDatabase):
+            database = database.encoded()
         self.datasets[name] = database
         self._miners.pop(name, None)
         self._store_backed.discard(name)
@@ -130,11 +146,11 @@ class ExecutionEnvironment:
         invalidate and reload it (see :meth:`note_store_mutation`)."""
         self._store_backed.add(name)
 
-    def resolve(self, name: str) -> TransactionDatabase:
+    def resolve(self, name: str) -> EncodedDatabase:
         if name in self.datasets:
             return self.datasets[name]
         if self.store is not None and name == "transactions":
-            database = self.store.load_database()
+            database = self.store.load_encoded()
             self.datasets[name] = database
             self._store_backed.add(name)
             return database
@@ -233,20 +249,20 @@ class ExecutionEnvironment:
         for name in sorted(self._store_backed):
             if name in self.datasets:
                 catalog = self.datasets[name].catalog
-                self.datasets[name] = self.store.load_database(catalog=catalog)
+                self.datasets[name] = self.store.load_encoded(catalog=catalog)
             self._miners.pop(name, None)
 
     def apply_store_append(self, transactions) -> None:
         """Fold appended store rows into mirrored datasets — no reload.
 
         The delta counterpart of :meth:`note_store_mutation` for
-        append-only mutations: each store-backed dataset gains the new
-        rows in place, and cached miners fold them into their encoded
-        layouts via :meth:`TemporalMiner.apply_append` (retaining
-        per-unit count state when incremental maintenance is enabled).
+        append-only mutations: each store-backed dataset's miner folds
+        the rows into its encoding (:meth:`TemporalMiner.apply_append`,
+        retaining per-unit count state when incremental maintenance is
+        enabled), and the folded encoding becomes the dataset.
         ``transactions`` holds ``(timestamp, items, tid)`` tuples using
-        the tids the store actually assigned, so the in-memory mirror
-        stays identical to what a full reload would produce.
+        the tids the store actually assigned, so the fold stays
+        identical to what a full reload would produce.
         """
         if self.store is None:
             return
@@ -254,17 +270,10 @@ class ExecutionEnvironment:
         if not batch:
             return
         for name in sorted(self._store_backed):
-            if name not in self.datasets:
-                continue
-            miner = self._miners.get(name)
-            if miner is not None:
+            if name in self.datasets:
+                miner = self.miner(name)
                 miner.apply_append(batch)
-                continue
-            database = self.datasets[name]
-            for entry in batch:
-                timestamp, items = entry[0], entry[1]
-                tid = entry[2] if len(entry) > 2 else None
-                database.add(timestamp, items, tid=tid)
+                self.datasets[name] = miner.database
 
 
 class TmlExecutor:
@@ -370,8 +379,7 @@ class TmlExecutor:
             token=self.environment.cancel_token,
             granule_hook=self.environment.granule_hook,
         )
-        catalog = self.environment.resolve(statement.source).catalog
-        return ExecutionResult(statement, report, report.format(catalog, limit=50))
+        return self._mined(statement, report)
 
     def _mine_periodicities(
         self, statement: MinePeriodicitiesStatement
@@ -384,8 +392,7 @@ class TmlExecutor:
             token=self.environment.cancel_token,
             granule_hook=self.environment.granule_hook,
         )
-        catalog = self.environment.resolve(statement.source).catalog
-        return ExecutionResult(statement, report, report.format(catalog, limit=50))
+        return self._mined(statement, report)
 
     def _mine_rules(self, statement: MineRulesStatement) -> ExecutionResult:
         task = self._build_task(statement)
@@ -395,8 +402,7 @@ class TmlExecutor:
             token=self.environment.cancel_token,
             granule_hook=self.environment.granule_hook,
         )
-        catalog = self.environment.resolve(statement.source).catalog
-        return ExecutionResult(statement, report, report.format(catalog, limit=50))
+        return self._mined(statement, report)
 
     def _mine_itemsets(self, statement: MineItemsetsStatement) -> ExecutionResult:
         from repro.mining.itemset_periods import discover_itemset_periods
@@ -409,20 +415,18 @@ class TmlExecutor:
             min_coverage=statement.min_coverage,
             max_rule_size=statement.max_size,
         )
-        database = self.environment.resolve(statement.source)
         report = discover_itemset_periods(
-            database, task, counting=self.environment.engine
+            self.environment.resolve(statement.source),
+            task,
+            counting=self.environment.engine,
         )
-        return ExecutionResult(
-            statement, report, report.format(database.catalog, limit=50)
-        )
+        return self._mined(statement, report)
 
     def _mine_trends(self, statement: MineTrendsStatement) -> ExecutionResult:
         from repro.mining.trends import detect_trends
 
-        database = self.environment.resolve(statement.source)
         report = detect_trends(
-            database,
+            self.environment.resolve(statement.source),
             statement.granularity,
             min_support=statement.min_support,
             min_total_change=statement.min_change,
@@ -430,8 +434,13 @@ class TmlExecutor:
             max_size=statement.max_size,
             counting=self.environment.engine,
         )
+        return self._mined(statement, report)
+
+    def _mined(self, statement, report: MiningReport) -> ExecutionResult:
+        """The result of one MINE; its text lists the first 50 findings."""
+        catalog = self.environment.resolve(statement.source).catalog
         return ExecutionResult(
-            statement, report, report.format(database.catalog, limit=50)
+            statement, report, partial(report.format, catalog, limit=50)
         )
 
     def _profile(self, statement: ProfileStatement) -> ExecutionResult:
@@ -446,7 +455,7 @@ class TmlExecutor:
         profile = support_profile(
             database, list(statement.labels), statement.granularity
         )
-        return ExecutionResult(statement, profile, profile.format(database.catalog))
+        return ExecutionResult(statement, profile, partial(profile.format, database.catalog))
 
     def _explain(self, statement: ExplainStatement) -> ExecutionResult:
         """Describe the task a MINE statement would run, without mining."""
@@ -498,7 +507,7 @@ class TmlExecutor:
             columns=("property", "value"),
             rows=tuple((name, str(value)) for name, value in properties),
         )
-        return ExecutionResult(statement, result, result.format(limit=0))
+        return ExecutionResult(statement, result, partial(result.format, limit=0))
 
     def _explain_analyze(self, statement: ExplainStatement) -> ExecutionResult:
         """Run the inner MINE under forced tracing; render its telemetry.
@@ -556,7 +565,7 @@ class TmlExecutor:
             for line in format_trace(report.trace).splitlines():
                 rows.append(("trace", line))
         result = QueryResult(columns=("property", "value"), rows=tuple(rows))
-        return ExecutionResult(statement, result, result.format(limit=0))
+        return ExecutionResult(statement, result, partial(result.format, limit=0))
 
     def _show(self, statement: ShowStatement) -> ExecutionResult:
         store = self.environment.store
@@ -570,7 +579,7 @@ class TmlExecutor:
             result = volume_by_unit(
                 store, statement.granularity or Granularity.MONTH
             )
-        return ExecutionResult(statement, result, result.format())
+        return ExecutionResult(statement, result, result.format)
 
     def _set_budget(self, statement: SetBudgetStatement) -> ExecutionResult:
         if statement.off:
@@ -578,7 +587,7 @@ class TmlExecutor:
             result = QueryResult(
                 columns=("property", "value"), rows=(("budget", "off"),)
             )
-            return ExecutionResult(statement, result, result.format(limit=0))
+            return ExecutionResult(statement, result, partial(result.format, limit=0))
         budget = RunBudget(
             max_seconds=statement.max_seconds,
             max_candidates=statement.max_candidates,
@@ -589,7 +598,7 @@ class TmlExecutor:
         result = QueryResult(
             columns=("property", "value"), rows=(("budget", budget.describe()),)
         )
-        return ExecutionResult(statement, result, result.format(limit=0))
+        return ExecutionResult(statement, result, partial(result.format, limit=0))
 
     def _set_engine(self, statement: SetEngineStatement) -> ExecutionResult:
         engine = "auto" if statement.off else statement.engine
@@ -597,7 +606,7 @@ class TmlExecutor:
         result = QueryResult(
             columns=("property", "value"), rows=(("engine", engine),)
         )
-        return ExecutionResult(statement, result, result.format(limit=0))
+        return ExecutionResult(statement, result, partial(result.format, limit=0))
 
     def _set_workers(self, statement: SetWorkersStatement) -> ExecutionResult:
         workers = 1 if statement.off else statement.workers
@@ -606,7 +615,7 @@ class TmlExecutor:
         result = QueryResult(
             columns=("property", "value"), rows=(("workers", shown),)
         )
-        return ExecutionResult(statement, result, result.format(limit=0))
+        return ExecutionResult(statement, result, partial(result.format, limit=0))
 
     def _set_trace(self, statement: SetTraceStatement) -> ExecutionResult:
         self.environment.set_trace(statement.on)
@@ -614,7 +623,7 @@ class TmlExecutor:
             columns=("property", "value"),
             rows=(("trace", "on" if statement.on else "off"),),
         )
-        return ExecutionResult(statement, result, result.format(limit=0))
+        return ExecutionResult(statement, result, partial(result.format, limit=0))
 
     def _set_incremental(self, statement: SetIncrementalStatement) -> ExecutionResult:
         self.environment.set_incremental(statement.mode)
@@ -622,7 +631,7 @@ class TmlExecutor:
             columns=("property", "value"),
             rows=(("incremental", self.environment.incremental),),
         )
-        return ExecutionResult(statement, result, result.format(limit=0))
+        return ExecutionResult(statement, result, partial(result.format, limit=0))
 
     def _sql(self, statement: SqlStatement) -> ExecutionResult:
         store = self.environment.store
@@ -635,7 +644,7 @@ class TmlExecutor:
             self.environment.note_store_mutation()
         else:
             result = run_query(store, statement.sql)
-        return ExecutionResult(statement, result, result.format())
+        return ExecutionResult(statement, result, result.format)
 
 
 def resolve_feature(spec: FeatureSpec):
@@ -663,8 +672,6 @@ def resolve_feature(spec: FeatureSpec):
             )
         return pattern
     if isinstance(spec, CalendarComboFeature):
-        from repro.temporal.calendar_algebra import CalendarExpression
-
         left = _as_calendar_expression(resolve_feature(spec.left))
         right = _as_calendar_expression(resolve_feature(spec.right))
         if spec.op == "AND":
@@ -676,7 +683,7 @@ def resolve_feature(spec: FeatureSpec):
 
 
 def _as_calendar_expression(feature):
-    from repro.temporal.calendar_algebra import CalendarExpression, CalendarPattern
+    from repro.temporal.calendar_algebra import CalendarExpression
 
     if isinstance(feature, CalendarExpression):
         return feature

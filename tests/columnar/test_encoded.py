@@ -137,16 +137,6 @@ def test_segment_vertical_supports_match_baskets(tiny_db):
         assert vertical.support([item]) == expected
 
 
-def test_round_trip_to_transaction_database(tiny_db):
-    encoded = _encoded(tiny_db)
-    restored = encoded.to_transaction_database()
-    assert len(restored) == len(tiny_db)
-    for original, copy in zip(tiny_db, restored):
-        assert copy.tid == original.tid
-        assert copy.timestamp == original.timestamp
-        assert set(copy.items) == set(original.items)
-
-
 def test_average_transaction_size(tiny_db):
     encoded = _encoded(tiny_db)
     assert encoded.average_transaction_size() == pytest.approx(

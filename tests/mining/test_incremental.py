@@ -7,6 +7,7 @@ every batch, exactly what the independent naive references in
 
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from repro.baselines import sequential_periodicities, sequential_valid_periods
@@ -236,3 +237,43 @@ class TestIncrementalPeriodicities:
         late = miner.periodicities(PERIODICITY_TASK)
         assert late.n_units > early.n_units
         assert len(late) >= len(early) > 0
+
+
+class TestAtomicAppend:
+    @pytest.mark.parametrize("mode", ["off", "on", "auto"])
+    def test_bad_batch_changes_nothing_in_any_mode(self, mode):
+        """A batch with one bad row is rejected whole, before any state moves."""
+        base = datetime(2026, 4, 6)
+        database = TransactionDatabase()
+        for timestamp, items in two_item_days(base, range(3), 4):
+            database.add(timestamp, items)
+        miner = TemporalMiner(database, incremental=mode)
+        before = miner.valid_periods(TASK)
+        n_before = len(miner.database)
+        catalog_before = len(database.catalog)
+        with pytest.raises(TransactionError):
+            miner.apply_append(
+                [(base + timedelta(days=3), ["a", "fresh"]), (base + timedelta(days=3), [])]
+            )
+        assert len(miner.database) == n_before
+        assert len(database.catalog) == catalog_before
+        after = miner.valid_periods(TASK)
+        assert after.n_transactions == before.n_transactions == n_before
+        assert after.results == before.results
+        miner.close()
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    def test_fold_keeps_the_callers_database_in_step(self, mode):
+        base = datetime(2026, 4, 6)
+        database = TransactionDatabase()
+        for timestamp, items in two_item_days(base, range(2), 3):
+            database.add(timestamp, items)
+        miner = TemporalMiner(database, incremental=mode)
+        miner.valid_periods(TASK)
+        batch = [(base + timedelta(days=2), ["b", "c"]), (base - timedelta(days=1), [0])]
+        assert miner.apply_append(batch) == 2
+        assert miner.database.tids.tolist() == [7, 0, 1, 2, 3, 4, 5, 6]
+        reencoded = database.encoded()
+        for column in ("item_ids", "offsets", "tids", "stamps"):
+            assert np.array_equal(getattr(miner.database, column), getattr(reencoded, column))
+        miner.close()

@@ -28,7 +28,6 @@ from repro.planner import (
     pinned_plan,
     plan_query,
     record_observed,
-    stats_of_database,
     stats_of_encoded,
 )
 from repro.temporal.granularity import Granularity
@@ -58,7 +57,7 @@ SHAPE = StatementShape(
 
 class TestStats:
     def test_database_stats(self):
-        stats = stats_of_database(_db(40, basket=4, n_items=12))
+        stats = compute_stats(_db(40, basket=4, n_items=12))
         assert stats.n_transactions == 40
         assert stats.n_items == 12
         assert stats.n_occurrences == 160
@@ -69,24 +68,24 @@ class TestStats:
         db = _db()
         encoded = EncodedDatabase.from_database(db)
         from_encoded = stats_of_encoded(encoded)
-        assert from_encoded == stats_of_database(db)
+        assert from_encoded == compute_stats(db)
         assert stats_of_encoded(encoded) is from_encoded  # memo hit
 
     def test_compute_stats_dispatch(self):
         db = _db()
         encoded = EncodedDatabase.from_database(db)
-        direct = stats_of_database(db)
+        direct = compute_stats(db)
         assert compute_stats(direct) is direct
         assert compute_stats(encoded) == direct
-        assert compute_stats(db) == direct
+        assert compute_stats(db) is direct  # memoized on db's encoding
 
     def test_units_spanned(self):
-        stats = stats_of_database(_db(48))  # 48 hourly transactions = 2 days
+        stats = compute_stats(_db(48))  # 48 hourly transactions = 2 days
         assert stats.units_spanned(Granularity.DAY) == 2
         assert stats.units_spanned(None) == 1
 
     def test_empty_stats(self):
-        stats = stats_of_database(TransactionDatabase())
+        stats = compute_stats(TransactionDatabase())
         assert stats.n_transactions == 0
         assert stats.avg_basket_size == 0.0
         assert stats.units_spanned(Granularity.DAY) == 1

@@ -486,7 +486,7 @@ def test_unit_mask_restriction_matches_predicate(granularity, seconds, period, o
     expected = database.restrict(lambda transaction: predicate(transaction.timestamp))
     restricted = restrict_database(database, feature, Granularity.DAY)
     assert len(restricted) == len(expected)
-    assert [t.tid for t in restricted] == [t.tid for t in expected]
+    assert restricted.tids.tolist() == [t.tid for t in expected]
     assert restricted.catalog is database.catalog
 
 
