@@ -75,23 +75,23 @@ def _time_legs(miner, task, legs):
 def test_e18_metrics_overhead(bench_db):
     task = _task()
     registry = MetricsRegistry()
-    with TemporalMiner(bench_db, metrics=registry) as miner:
-        miner.valid_periods(task)  # warm the temporal context cache
-        timings = _time_legs(
-            miner,
-            task,
-            [
-                ("disabled", lambda: (False, {})),
-                (
-                    "metrics",
-                    lambda: (False, {"monitor": RunMonitor(metrics=registry)}),
-                ),
-                (
-                    "traced",
-                    lambda: (True, {"monitor": RunMonitor(metrics=registry)}),
-                ),
-            ],
-        )
+    miner = TemporalMiner(bench_db, metrics=registry)
+    miner.valid_periods(task)  # warm the temporal context cache
+    timings = _time_legs(
+        miner,
+        task,
+        [
+            ("disabled", lambda: (False, {})),
+            (
+                "metrics",
+                lambda: (False, {"monitor": RunMonitor(metrics=registry)}),
+            ),
+            (
+                "traced",
+                lambda: (True, {"monitor": RunMonitor(metrics=registry)}),
+            ),
+        ],
+    )
 
     disabled = timings["disabled"]
     enabled = timings["metrics"]

@@ -1,10 +1,9 @@
 """E20 — does the cost-based planner actually pick good plans?
 
 The planner's headline claim: ``TemporalMiner(db)`` with no knobs
-(``SET ENGINE AUTO`` / ``SET WORKERS AUTO``) lands within 0.9x of the
-*best* manual (backend x workers) configuration — without the user
-sweeping the grid — while the *worst* manual cell shows what a wrong
-pin costs.  Measured on the E6 size-up workload at |D| in {2.5k, 20k,
+(``SET ENGINE AUTO``) lands within 0.9x of the *best* manually pinned
+counting backend — without the user sweeping the grid — while the
+*worst* pin shows what a wrong one costs.  Measured on the E6 size-up workload at |D| in {2.5k, 20k,
 80k} plus a basket-density sweep at fixed |D|; every cell is asserted
 bit-identical to the planned run, so the comparison is purely about
 time.
@@ -14,7 +13,6 @@ backend beats plain ``vertical`` at |D|=20k, which is why the planner
 prefers it for large candidate volumes.
 """
 
-import os
 import time
 
 import pytest
@@ -27,10 +25,8 @@ from repro.temporal import Granularity
 
 SIZES = (2500, 20000, 80000)
 BACKENDS = ("dict", "hashtree", "vertical", "packed")
-WORKER_COUNTS = (1, 2)
 PACKED_VS_VERTICAL_SIZE = 20000
 PLANNED_VS_BEST_FLOOR = 0.9
-MULTICORE = (os.cpu_count() or 1) >= 2
 
 #: Basket-density sweep: average items per basket at fixed |D|.
 DENSITY_SIZE = 10000
@@ -62,10 +58,10 @@ def _mine(db, rounds, **miner_kwargs):
     best = float("inf")
     report = None
     for _ in range(rounds):
-        with TemporalMiner(db, **miner_kwargs) as miner:
-            started = time.perf_counter()
-            report = miner.valid_periods(_task())
-            best = min(best, time.perf_counter() - started)
+        miner = TemporalMiner(db, **miner_kwargs)
+        started = time.perf_counter()
+        report = miner.valid_periods(_task())
+        best = min(best, time.perf_counter() - started)
     return report, best
 
 
@@ -74,15 +70,12 @@ def _sweep(db, rounds):
     grid = {}
     reference = None
     for backend in BACKENDS:
-        for workers in WORKER_COUNTS:
-            report, seconds = _mine(
-                db, rounds, counting=backend, workers=workers
-            )
-            grid[(backend, workers)] = seconds
-            if reference is None:
-                reference = report
-            # The grid exists to compare times; results must not move.
-            assert report.results == reference.results, (backend, workers)
+        report, seconds = _mine(db, rounds, counting=backend)
+        grid[backend] = seconds
+        if reference is None:
+            reference = report
+        # The grid exists to compare times; results must not move.
+        assert report.results == reference.results, backend
     planned_report, planned_seconds = _mine(db, rounds)
     assert planned_report.results == reference.results
     return grid, planned_report, planned_seconds
@@ -90,19 +83,16 @@ def _sweep(db, rounds):
 
 def _planned_cell_seconds(grid, plan, planned_seconds):
     """The fairest time for the planner's choice: its own cell's grid
-    measurement when the chosen (backend, workers) was swept (so a
-    noisy re-run of the identical configuration cannot fail the bar),
-    else the planned run's wall time."""
-    cell = (plan["backend"], plan["workers"])
-    return min(planned_seconds, grid.get(cell, planned_seconds))
+    measurement when the chosen backend was swept (so a noisy re-run of
+    the identical configuration cannot fail the bar), else the planned
+    run's wall time."""
+    return min(planned_seconds, grid.get(plan["backend"], planned_seconds))
 
 
 @pytest.fixture(autouse=True)
 def _no_plan_env(monkeypatch):
     """The planned leg must be the real planner, not a host env pin."""
     monkeypatch.delenv("REPRO_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_PLAN_CPUS", raising=False)
 
 
 @pytest.mark.parametrize("n_transactions", SIZES)
@@ -118,10 +108,10 @@ def test_e20_planned_vs_manual_sizeup(quest_db_cache, n_transactions):
         f"D={n_transactions}",
         f"planned_s={planned_seconds:.3f}",
         f"best_s={best_seconds:.3f}",
-        f"best={best_cell[0]}/w{best_cell[1]}",
+        f"best={best_cell}",
         f"worst_s={worst_seconds:.3f}",
-        f"worst={worst_cell[0]}/w{worst_cell[1]}",
-        f"plan={plan['backend']}/w{plan['workers']}",
+        f"worst={worst_cell}",
+        f"plan={plan['backend']}",
         f"findings={len(planned_report.results)}",
     )
     assert plan is not None and not plan["backend_pinned"]
@@ -130,8 +120,8 @@ def test_e20_planned_vs_manual_sizeup(quest_db_cache, n_transactions):
     planned = _planned_cell_seconds(grid, plan, planned_seconds)
     assert planned <= best_seconds / PLANNED_VS_BEST_FLOOR
     if n_transactions == PACKED_VS_VERTICAL_SIZE:
-        # The vectorized kernel's own acceptance bar, serial vs serial.
-        assert grid[("packed", 1)] < grid[("vertical", 1)]
+        # The vectorized kernel's own acceptance bar.
+        assert grid["packed"] < grid["vertical"]
 
 
 @pytest.mark.parametrize("avg_size", DENSITIES)
@@ -146,8 +136,8 @@ def test_e20_density_sweep(quest_db_cache, avg_size):
         f"D={DENSITY_SIZE}",
         f"planned_s={planned_seconds:.3f}",
         f"best_s={best_seconds:.3f}",
-        f"best={best_cell[0]}/w{best_cell[1]}",
-        f"plan={plan['backend']}/w{plan['workers']}",
+        f"best={best_cell}",
+        f"plan={plan['backend']}",
         f"findings={len(planned_report.results)}",
     )
     # Density changes which backend wins; the planner must keep up.

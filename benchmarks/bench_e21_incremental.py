@@ -88,15 +88,12 @@ def _measure(rows, fraction):
     dirty fraction; results are asserted bit-identical first."""
     batch, n_dirty = _append_batch(fraction)
 
-    warm_miner = TemporalMiner(
-        _build(rows), counting="packed", workers=1, incremental="on"
-    )
+    warm_miner = TemporalMiner(_build(rows), counting="packed", incremental="on")
     warm_miner.valid_periods(TASK)  # prime the per-unit count cache
     started = time.perf_counter()
     warm_miner.apply_append(batch)  # the fold is part of the delta cost
     warm = warm_miner.valid_periods(TASK)
     delta_seconds = time.perf_counter() - started
-    warm_miner.close()
 
     full_seconds = float("inf")
     cold = None
@@ -106,12 +103,9 @@ def _measure(rows, fraction):
         # round's encoding memoized on the database.
         final_db = _build(rows, extra=batch)
         started = time.perf_counter()
-        cold_miner = TemporalMiner(
-            final_db, counting="packed", workers=1, incremental="off"
-        )
+        cold_miner = TemporalMiner(final_db, counting="packed", incremental="off")
         cold = cold_miner.valid_periods(TASK)
         full_seconds = min(full_seconds, time.perf_counter() - started)
-        cold_miner.close()
 
     assert warm.results == cold.results  # identical before any timing talk
     return delta_seconds, full_seconds, n_dirty, len(warm.results)

@@ -15,8 +15,8 @@ users) and the per-worker routing spread.
 
 The acceptance bar (ISSUE 9, multicore hosts): 4-worker throughput at
 least ``MIN_SPEEDUP``x the 1-worker throughput at the same offered
-rate, with p99 no worse.  On single-core hosts the curve is recorded
-but the ratio cannot physically materialize, so (exactly like E16) the
+rate, with p99 no worse.  On hosts with fewer than four cores the curve
+is recorded but the ratio cannot physically materialize, so the
 assertion is gated on ``MULTICORE``.
 
 A separate leg pins correctness under scale-out: the same MINE answered

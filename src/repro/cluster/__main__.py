@@ -98,14 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scheduler threads inside each worker process",
     )
     parser.add_argument(
-        "--mining-workers",
-        type=lambda v: None if v.lower() == "auto" else int(v),
-        default=1,
-        metavar="N|auto",
-        help="process shards per mining run inside each worker (default 1: "
-        "the fleet already owns the cores; auto = planner-sized)",
-    )
-    parser.add_argument(
         "--engine",
         default="auto",
         help="counting backend (auto|dict|hashtree|vertical|packed)",
@@ -204,7 +196,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         db_path=db_path,
         run_dir=run_dir,
         threads=args.threads_per_worker,
-        mining_workers=args.mining_workers,
         engine=args.engine,
         drain_deadline=args.drain_deadline,
         slow_threshold=args.slow_threshold,

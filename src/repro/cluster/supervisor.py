@@ -82,9 +82,6 @@ class WorkerConfig:
         run_dir: directory for port files (journals/cache sit next to
             the store by default).
         threads: scheduler worker threads per process.
-        mining_workers: process shards per mining run inside each
-            worker.  Defaults to 1 — the cluster already owns the
-            cores; nested fan-out would oversubscribe them.
         engine: counting backend (``auto`` lets the planner pick).
         shared_cache_path: the fleet-shared disk cache tier file
             (default ``<db>.cluster.cache``).
@@ -97,7 +94,6 @@ class WorkerConfig:
     db_path: str
     run_dir: str
     threads: int = 2
-    mining_workers: Optional[int] = 1
     engine: str = "auto"
     queue_depth: int = 64
     cache_entries: int = 256
@@ -138,8 +134,6 @@ class WorkerConfig:
             "--slow-threshold", str(self.slow_threshold),
             "--log-level", self.log_level,
         ]
-        if self.mining_workers is not None:
-            argv += ["--mining-workers", str(self.mining_workers)]
         argv += list(self.extra_args)
         return argv
 

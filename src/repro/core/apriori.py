@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -44,9 +43,6 @@ from repro.core.levels import as_itemsets, as_rows, join, next_level, prune
 from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
 from repro.runtime.budget import RunInterrupted, RunMonitor
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.parallel.executor import ShardedExecutor
 
 #: Either transaction representation; all mining entry points accept both.
 AnyDatabase = Union[TransactionDatabase, EncodedDatabase]
@@ -178,7 +174,6 @@ def apriori(
     min_support: float,
     options: Optional[AprioriOptions] = None,
     monitor: Optional[RunMonitor] = None,
-    executor: Optional["ShardedExecutor"] = None,
 ) -> FrequentItemsets:
     """Mine all frequent itemsets of ``database`` at ``min_support``.
 
@@ -192,10 +187,6 @@ def apriori(
             its token cancelled) the search stops at a pass boundary and
             the itemsets of the completed passes are returned — an exact
             subset of the unbudgeted result.
-        executor: optional sharded executor; candidate passes then run
-            count-distribution style (flat transaction shards, per-shard
-            vectors summed) with the serial scan as fallback — counts
-            are identical either way.
 
     Returns:
         All itemsets whose relative support is >= ``min_support``, with
@@ -243,25 +234,12 @@ def apriori(
             if monitor is not None:
                 monitor.charge_candidates(len(candidates))
             backend = resolve_backend(options.counting)
-            counted: Optional[Mapping[Itemset, int]] = None
-            if executor is not None:
-                vector = executor.count_flat(
-                    encoded, candidates, backend.name, monitor=monitor
-                )
-                if vector is not None:
-                    counted = {
-                        candidate: int(count)
-                        for candidate, count in zip(candidates, vector)
-                    }
-            if counted is None:
-                # The serial scan, also the fallback when a parallel
-                # executor declines the pass or degrades mid-run.
-                segment: Union[EncodedSegment, BasketSegment] = whole
-                if not backend.uses_vertical and options.transaction_reduction:
-                    working = whole.baskets() if reduced is None else reduced
-                    reduced = [b for b in working if len(b) >= k]
-                    segment = BasketSegment(reduced)
-                counted = backend.count_pass(candidates, segment, monitor=monitor)
+            segment: Union[EncodedSegment, BasketSegment] = whole
+            if not backend.uses_vertical and options.transaction_reduction:
+                working = whole.baskets() if reduced is None else reduced
+                reduced = [b for b in working if len(b) >= k]
+                segment = BasketSegment(reduced)
+            counted = backend.count_pass(candidates, segment, monitor=monitor)
             frequent = []
             for itemset, count in counted.items():
                 if count >= min_count:

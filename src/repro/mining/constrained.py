@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from datetime import datetime
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from repro.temporal.calendar_algebra import CalendarExpression, CalendarPattern
 from repro.temporal.granularity import Granularity, stamp_column, unit_index, unit_indices
 from repro.temporal.interval import IntervalSet, TimeInterval
 from repro.temporal.periodicity import CalendricPeriodicity, CyclicPeriodicity
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.parallel.executor import ShardedExecutor
 
 
 def feature_predicate(
@@ -119,14 +116,11 @@ def mine_with_feature(
     apriori_options: Optional[AprioriOptions] = None,
     counting: str = "auto",
     monitor: Optional[RunMonitor] = None,
-    executor: Optional["ShardedExecutor"] = None,
 ) -> MiningReport:
     """Run Task 3 end to end.
 
     ``counting`` selects the Apriori counting backend when
-    ``apriori_options`` is not given (explicit options win); an
-    ``executor`` parallelizes Apriori's candidate passes
-    count-distribution style.
+    ``apriori_options`` is not given (explicit options win).
 
     Returns a :class:`MiningReport` of :class:`ConstrainedRule` records,
     sorted by descending confidence then support (the order
@@ -157,7 +151,6 @@ def mine_with_feature(
                 task.thresholds.min_support,
                 options=options,
                 monitor=monitor,
-                executor=executor,
             )
         rules = generate_rules(
             frequent,

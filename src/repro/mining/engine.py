@@ -37,7 +37,6 @@ from repro.mining.valid_periods import discover_valid_periods
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.parallel.executor import ShardedExecutor
 from repro.planner import (
     INCREMENTAL_MODES,
     QueryPlan,
@@ -116,47 +115,13 @@ def _checked_row(entry: Sequence) -> Tuple[datetime, List[Union[str, int]], Opti
     return timestamp, basket, tid
 
 
-def _workers_from_env() -> Optional[int]:
-    """The ``REPRO_WORKERS`` pin (``None`` = AUTO when unset).
-
-    Lets CI run the *entire* suite with a pinned worker count without
-    touching any test: every miner built with the default worker setting
-    picks it up, and bit-identical semantics mean all assertions must
-    still hold.  When the variable is absent the planner chooses per
-    query (AUTO).
-
-    A set-but-malformed value (``"two"``, ``"0"``, ``"-3"``) also falls
-    back to AUTO, but emits a :class:`RuntimeWarning` naming the
-    rejected value — a misconfigured deployment should degrade loudly,
-    not silently change behaviour.
-    """
-    raw = os.environ.get("REPRO_WORKERS")
-    if raw is None or not raw.strip():
-        return None
-    text = raw.strip()
-    if text.isdigit() and int(text) >= 1:
-        return int(text)
-    logger.warning(
-        "ignoring malformed REPRO_WORKERS value %r "
-        "(expected an integer >= 1); leaving worker selection to the planner",
-        raw,
-    )
-    warnings.warn(
-        f"ignoring malformed REPRO_WORKERS value {raw!r} "
-        "(expected an integer >= 1); leaving worker selection to the planner",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return None
-
-
 def _incremental_from_env() -> str:
     """The ``REPRO_INCREMENTAL`` default mode (``"off"`` when unset).
 
-    Mirrors :func:`_workers_from_env`: CI flips the whole suite to
-    ``auto`` without touching a test, bit-identical semantics mean every
-    assertion must still hold, and a malformed value degrades loudly to
-    ``"off"`` rather than silently changing behaviour.
+    CI flips the whole suite to ``auto`` without touching a test,
+    bit-identical semantics mean every assertion must still hold, and a
+    malformed value degrades loudly to ``"off"`` rather than silently
+    changing behaviour.
     """
     raw = os.environ.get("REPRO_INCREMENTAL")
     if raw is None or not raw.strip():
@@ -189,7 +154,6 @@ class TemporalMiner:
         self,
         database: AnyDatabase,
         counting: str = "auto",
-        workers: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: TraceSetting = False,
         incremental: Optional[str] = None,
@@ -204,13 +168,10 @@ class TemporalMiner:
         self.metrics = metrics
         self.trace = trace
         self._contexts: Dict[Granularity, TemporalContext] = {}
-        self.workers: Optional[int] = None
-        self._executor: Optional[ShardedExecutor] = None
         self.incremental = "off"
         self.set_incremental(
             incremental if incremental is not None else _incremental_from_env()
         )
-        self.set_workers(workers if workers is not None else _workers_from_env())
 
     def set_trace(self, trace: TraceSetting) -> None:
         """Toggle per-run tracing for subsequent runs.
@@ -221,65 +182,6 @@ class TemporalMiner:
         loops span-free.
         """
         self.trace = trace
-
-    def set_workers(self, workers: Optional[int]) -> None:
-        """Pin the worker-process count for subsequent runs, or un-pin.
-
-        ``None`` (AUTO, the default) lets the planner choose per query.
-        ``1`` pins everything serial; ``N >= 2`` pins counting passes to
-        a sharded process pool of that size (results stay bit-identical
-        either way — see :mod:`repro.parallel`).  Changing the setting
-        tears the existing pool down; the next run builds a fresh one
-        lazily.
-        """
-        if workers is not None and workers < 1:
-            raise MiningParameterError(f"workers must be >= 1, got {workers}")
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-        self.workers = workers
-
-    @property
-    def executor(self) -> Optional[ShardedExecutor]:
-        """The current sharded executor; ``None`` while serial.
-
-        With a pinned ``workers >= 2`` the executor is created on
-        demand; under AUTO it exists only after a planned run that chose
-        to fan out.
-        """
-        if self.workers is not None and self.workers >= 2 and self._executor is None:
-            self._executor = ShardedExecutor(self.workers, metrics=self.metrics)
-        return self._executor
-
-    def _executor_for(self, plan: QueryPlan) -> Optional[ShardedExecutor]:
-        """The executor matching one plan's worker/shard decision."""
-        if plan.workers < 2:
-            return None
-        executor = self._executor
-        if (
-            executor is None
-            or executor.workers != plan.workers
-            or executor.n_shards != plan.n_shards
-        ):
-            if executor is not None:
-                executor.close()
-            executor = ShardedExecutor(
-                plan.workers, metrics=self.metrics, n_shards=plan.n_shards
-            )
-            self._executor = executor
-        return executor
-
-    def close(self) -> None:
-        """Release the worker pool (safe to call repeatedly)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "TemporalMiner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def set_counting(self, counting: str) -> None:
         """Select the counting backend for subsequent runs.
@@ -429,16 +331,14 @@ class TemporalMiner:
     ) -> QueryPlan:
         """Resolve the execution plan one task would run under *now*.
 
-        Explicit ``counting=``/``set_counting`` and ``workers=``/
-        ``set_workers`` settings become pins; everything left on AUTO is
-        decided by the cost model.  ``EXPLAIN`` calls this without
-        mining.
+        An explicit ``counting=``/``set_counting`` setting becomes a pin;
+        left on AUTO, the cost model picks the backend.  ``EXPLAIN``
+        calls this without mining.
         """
         return plan_query(
             self.stats(),
             _shape_of(task, interleaved=interleaved, cacheable=cacheable),
             pin_backend=self.counting,
-            pin_workers=self.workers,
             metrics=self.metrics,
         )
 
@@ -524,7 +424,6 @@ class TemporalMiner:
             context=context,
             counting=plan.backend,
             monitor=resolved,
-            executor=self._executor_for(plan),
         )
         return self._finalize(report, tracer, plan, refresh=refresh)
 
@@ -554,7 +453,6 @@ class TemporalMiner:
             context=context,
             counting=plan.backend,
             monitor=resolved,
-            executor=self._executor_for(plan),
         )
         return self._finalize(report, tracer, plan, refresh=refresh)
 
@@ -576,6 +474,5 @@ class TemporalMiner:
             apriori_options=apriori_options,
             counting=plan.backend,
             monitor=resolved,
-            executor=self._executor_for(plan),
         )
         return self._finalize(report, tracer, plan)

@@ -19,7 +19,7 @@ search *during* counting.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.mining.tasks import PeriodicityTask
 from repro.obs.trace import tracer_of
 from repro.runtime.budget import RunInterrupted, RunMonitor
 from repro.temporal.periodicity import CalendricPeriodicity, CyclicPeriodicity
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.parallel.executor import ShardedExecutor
 
 _EPS = 1e-9
 
@@ -235,7 +232,6 @@ def discover_periodicities(
     counts: Optional[PerUnitCounts] = None,
     counting: str = "auto",
     monitor: Optional[RunMonitor] = None,
-    executor: Optional["ShardedExecutor"] = None,
 ) -> MiningReport:
     """Run Task 2 end to end (generic path: count everywhere, then detect).
 
@@ -258,7 +254,6 @@ def discover_periodicities(
                 max_size=task.max_rule_size,
                 counting=counting,
                 monitor=monitor,
-                executor=executor,
             )
     table = rule_table(
         counts,
@@ -321,7 +316,6 @@ def discover_cyclic_interleaved(
     context: Optional[TemporalContext] = None,
     counting: str = "auto",
     monitor: Optional[RunMonitor] = None,
-    executor: Optional["ShardedExecutor"] = None,
 ) -> MiningReport:
     """Optimized cyclic discovery with cycle pruning and cycle skipping.
 
@@ -375,9 +369,7 @@ def discover_cyclic_interleaved(
     try:
         # Level 1: one full scan (no skipping possible before cycles exist).
         with tracer.span("pass", k=1):
-            for item, row in context.count_items_per_unit(
-                monitor=monitor, executor=executor
-            ).items():
+            for item, row in context.count_items_per_unit(monitor=monitor).items():
                 singleton = Itemset((item,))
                 support_valid = row >= thresholds
                 cycles = _sequence_cycles_exact(
@@ -426,7 +418,6 @@ def discover_cyclic_interleaved(
                     np.stack([candidate_masks[candidate] for candidate in ordered]),
                     counting=counting,
                     monitor=monitor,
-                    executor=executor,
                 )
             # Re-derive surviving cycles from actual counts.  An
             # interruption above leaves this level uncommitted, so

@@ -18,7 +18,7 @@ valid units, which the tests cross-check.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from repro.obs.trace import tracer_of
 from repro.runtime.budget import RunInterrupted, RunMonitor
 from repro.temporal.granularity import unit_starts
 from repro.temporal.interval import TimeInterval
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.parallel.executor import ShardedExecutor
 
 _EPS = 1e-9
 
@@ -180,7 +177,6 @@ def discover_valid_periods(
     counts: Optional[PerUnitCounts] = None,
     counting: str = "auto",
     monitor: Optional[RunMonitor] = None,
-    executor: Optional["ShardedExecutor"] = None,
 ) -> MiningReport:
     """Run Task 1 end to end.
 
@@ -197,8 +193,6 @@ def discover_valid_periods(
             stops the run at a granule/pass boundary and yields a report
             flagged ``partial=True`` whose rules are a subset of the
             unbudgeted run's (strict mode raises instead).
-        executor: optional sharded executor parallelizing the counting
-            passes (bit-identical output; see :mod:`repro.parallel`).
 
     Returns:
         A :class:`MiningReport` of :class:`ValidPeriodRule` records.
@@ -216,7 +210,6 @@ def discover_valid_periods(
                 max_size=task.max_rule_size,
                 counting=counting,
                 monitor=monitor,
-                executor=executor,
             )
     series_list = candidate_rules(
         counts,

@@ -37,28 +37,22 @@ import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.columnar.backends import Candidates
-from repro.core.items import Itemset
 from repro.errors import MiningParameterError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import tracer_of
 from repro.parallel import worker
-from repro.parallel.sharding import ShardSpec, plan_shards, plan_transaction_shards
+from repro.parallel.sharding import ShardSpec, plan_shards
 from repro.runtime.budget import RunInterrupted, RunMonitor
 
 _token_counter = itertools.count(1)
 
 logger = get_logger(__name__)
-
-
-def default_workers() -> int:
-    """A sensible worker count for this host (``os.cpu_count()``, >= 1)."""
-    return max(os.cpu_count() or 1, 1)
 
 
 def _start_method() -> str:
@@ -91,16 +85,10 @@ class ShardedExecutor:
         fault_plan=None,
         start_method: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
-        n_shards: Optional[int] = None,
     ):
         if workers < 1:
             raise MiningParameterError(f"workers must be >= 1, got {workers}")
-        if n_shards is not None and n_shards < 1:
-            raise MiningParameterError(f"n_shards must be >= 1, got {n_shards}")
         self.workers = workers
-        #: Shard fan-out per pass; the planner may set it independently
-        #: of the pool size (defaults to one shard per worker).
-        self.n_shards = n_shards if n_shards is not None else workers
         self.fault_plan = fault_plan
         self.degraded_reason: Optional[str] = None
         self._start_method = start_method or _start_method()
@@ -309,7 +297,7 @@ class ShardedExecutor:
         """
         if not self.effective():
             return None
-        shards = plan_shards(bounds, self.n_shards)
+        shards = plan_shards(bounds, self.workers)
         if len(shards) < 2:
             return None
         results = self._run_pass(
@@ -344,7 +332,7 @@ class ShardedExecutor:
         """
         if not self.effective() or not len(candidates):
             return None
-        shards = plan_shards(bounds, self.n_shards)
+        shards = plan_shards(bounds, self.workers)
         if len(shards) < 2:
             return None
 
@@ -377,70 +365,6 @@ class ShardedExecutor:
             return None
         started = time.perf_counter()
         merged = np.hstack(results)
-        self._record_merge(time.perf_counter() - started)
-        return merged
-
-    def count_flat(
-        self,
-        encoded,
-        candidates: Sequence[Itemset],
-        counting: str,
-        monitor: Optional[RunMonitor] = None,
-    ) -> Optional[np.ndarray]:
-        """Count-distribution for one classical Apriori pass.
-
-        Shards the flat transaction range, counts every candidate per
-        shard, and sums the per-shard vectors — the merge step of the
-        count-distribution algorithm.  Returns the length
-        ``len(candidates)`` support vector, or ``None`` for serial.
-        """
-        if not self.effective() or not candidates:
-            return None
-        shards = plan_transaction_shards(len(encoded), self.n_shards)
-        if len(shards) < 2:
-            return None
-        bounds = np.array(
-            [shards[0].pos_lo] + [shard.pos_hi for shard in shards], dtype=np.int64
-        )
-
-        def submit(pool, task, shard: ShardSpec):
-            return pool.submit(
-                worker.count_candidates_shard, task, list(candidates), counting
-            )
-
-        # Re-map each flat shard to a single-unit bounds pair.
-        token = self._attach(encoded)
-        pool = self._ensure_pool()
-        with tracer_of(monitor).span(
-            "parallel_pass", shards=len(shards), workers=self.workers, flat=True
-        ):
-            futures: List[Future] = []
-            for shard in shards:
-                task = worker.ShardTask(
-                    token=token,
-                    index=shard.index,
-                    unit_bounds=np.array(
-                        [shard.pos_lo, shard.pos_hi], dtype=np.int64
-                    ),
-                    fault=self._next_fault(),
-                )
-                futures.append(submit(pool, task, shard))
-            results: List[np.ndarray] = []
-            try:
-                for future in futures:
-                    results.append(future.result())
-                    if monitor is not None:
-                        monitor.checkpoint()
-            except RunInterrupted:
-                self._drain(futures)
-                raise
-            except Exception as error:
-                self._drain(futures)
-                self._degrade(error)
-                return None
-        self._record_pass(len(shards))
-        started = time.perf_counter()
-        merged = np.hstack(results).sum(axis=1)
         self._record_merge(time.perf_counter() - started)
         return merged
 

@@ -8,7 +8,7 @@ balanced by transaction count, not unit count — a handful of heavy units
 (a holiday sales spike) would otherwise serialize the whole pass behind
 one worker.
 
-Both planners are pure functions of their inputs, so a plan is
+Shard planning is a pure function of its inputs, so a plan is
 deterministic: the same database, granularity and worker count always
 produce the same shards, which is what makes the merged counts
 bit-identical to the serial scan.
@@ -82,24 +82,3 @@ def plan_shards(bounds: Sequence[int], workers: int) -> List[ShardSpec]:
         )
     return shards
 
-
-def plan_transaction_shards(n_transactions: int, workers: int) -> List[ShardSpec]:
-    """Split a flat transaction range into <= ``workers`` even shards.
-
-    The count-distribution plan for the classical (non-temporal) Apriori
-    pass of Task 3: each shard is one contiguous position range treated
-    as a single "unit"; per-shard supports are summed on merge.
-    """
-    if n_transactions <= 0:
-        return []
-    workers = max(1, min(workers, n_transactions))
-    cuts = [(n_transactions * i) // workers for i in range(workers + 1)]
-    shards = []
-    for index, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        if hi > lo:
-            shards.append(
-                ShardSpec(
-                    index=index, unit_lo=index, unit_hi=index + 1, pos_lo=lo, pos_hi=hi
-                )
-            )
-    return shards

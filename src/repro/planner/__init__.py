@@ -5,17 +5,17 @@ decides how to execute them.  This package is that decision layer:
 
 * :class:`StoreStats` summarizes a store (|D|, item cardinality,
   density, span), memoized per store fingerprint;
-* :mod:`repro.planner.cost` scores every counting backend and the
-  serial-vs-sharded trade-off from those stats plus the statement shape;
-* :func:`plan_query` resolves it all — honouring explicit ``SET
-  ENGINE`` / ``SET WORKERS`` pins, the ``REPRO_PLAN`` environment pin,
-  and calibration learned from the metrics history — into a frozen
-  :class:`QueryPlan` consumed by the miner, the parallel executor, the
-  service scheduler, ``EXPLAIN`` and the trace/metrics pipeline.
+* :mod:`repro.planner.cost` scores every counting backend from those
+  stats plus the statement shape;
+* :func:`plan_query` resolves it all — honouring an explicit ``SET
+  ENGINE`` pin, the ``REPRO_PLAN`` environment pin, and calibration
+  learned from the metrics history — into a frozen :class:`QueryPlan`
+  consumed by the miner, the service scheduler, ``EXPLAIN`` and the
+  trace/metrics pipeline.
 
-Plans affect *performance only*: every backend and worker count
-produces bit-identical mining results (the differential suites enforce
-this), so the planner can never change an answer, only its latency.
+Plans affect *performance only*: every backend produces bit-identical
+mining results (the differential suites enforce this), so the planner
+can never change an answer, only its latency.
 """
 
 from repro.planner.cost import (
@@ -26,9 +26,8 @@ from repro.planner.cost import (
     backend_costs,
     estimate_workload,
 )
-from repro.planner.plan import QueryPlan, pinned_plan
+from repro.planner.plan import QueryPlan
 from repro.planner.planner import (
-    PLAN_CPUS_ENV,
     PLAN_ENV,
     calibration_factors,
     plan_query,
@@ -50,7 +49,6 @@ __all__ = [
     "COSTED_BACKENDS",
     "DIRTY_FRACTION_THRESHOLD",
     "INCREMENTAL_MODES",
-    "PLAN_CPUS_ENV",
     "PLAN_ENV",
     "BackendCost",
     "QueryPlan",
@@ -63,7 +61,6 @@ __all__ = [
     "choose_refresh",
     "compute_stats",
     "estimate_workload",
-    "pinned_plan",
     "plan_query",
     "record_observed",
     "stats_of_encoded",

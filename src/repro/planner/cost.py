@@ -5,8 +5,7 @@ Everything here is a *deterministic* function of :class:`StoreStats` and
 same estimates, which is what makes ``EXPLAIN`` output snapshotable.
 The absolute numbers are rough (constants were fitted against the
 ``python -m bench`` library workload, not derived), but only the
-*ordering* of backends and the serial-vs-parallel break-even matter for
-planning; observed-timing calibration (:mod:`repro.planner.planner`)
+*ordering* of backends matters for planning; observed-timing calibration (:mod:`repro.planner.planner`)
 corrects persistent model bias at runtime.
 
 An estimate has two parts.  The *counting* cost follows the shape of
@@ -25,8 +24,7 @@ the kernels:
 
 The *mining* cost is what every backend pays around the kernel —
 candidate generation, thresholding and rule evaluation, all Python —
-and is proportional to the locally frequent (itemset, unit) cells.  It
-does not shard, so only the counting part feeds the fan-out decision.
+and is proportional to the locally frequent (itemset, unit) cells.
 
 Candidate volume is estimated from a Zipf-flavoured frequent-item count:
 under a 1/rank popularity law an item of rank *r* appears in about
@@ -55,11 +53,6 @@ _W_CAND = 110e-9  # per-candidate Python (zip/dict store), whole-segment bitmap 
 _W_GROUP = 5.0e-6  # per prefix-group Python overhead (vertical only)
 _W_CELL = 4.5e-7  # mining Python per locally frequent (itemset, unit) cell
 _PASS_FLOOR = 30e-6  # fixed per-pass dispatch overhead
-
-# Parallel execution overheads.
-_FORK_SECONDS = 0.050  # pool spin-up, amortized over the first pass
-_SHARD_DISPATCH = 0.004  # per shard per pass: pickle + submit + merge share
-_MIN_PARALLEL_GAIN = 0.15  # don't fork unless we expect to win this much
 
 
 @dataclass(frozen=True)
@@ -98,26 +91,16 @@ class WorkloadEstimate:
 
 @dataclass(frozen=True)
 class BackendCost:
-    """One backend's estimated serial cost for the whole statement.
-
-    ``seconds`` covers the statement end to end; ``counting_seconds`` is
-    the share of it spent in the counting kernel — the only part a
-    sharded run divides among workers.
-    """
+    """One backend's estimated cost for the whole statement."""
 
     backend: str
     seconds: float
-    counting_seconds: float
     detail: str = ""
     calibration: float = field(default=1.0, compare=False)
 
     @property
     def calibrated_seconds(self) -> float:
         return self.seconds * self.calibration
-
-    @property
-    def calibrated_counting_seconds(self) -> float:
-        return self.counting_seconds * self.calibration
 
 
 def estimate_workload(stats: StoreStats, shape: StatementShape) -> WorkloadEstimate:
@@ -161,7 +144,7 @@ def estimate_workload(stats: StoreStats, shape: StatementShape) -> WorkloadEstim
 
 
 def _unit_cost(backend: str, load: WorkloadEstimate, shape: StatementShape) -> float:
-    """Estimated serial seconds to count one unit's passes on ``backend``."""
+    """Estimated seconds to count one unit's passes on ``backend``."""
     tx = load.unit_transactions
     basket = load.avg_basket
     candidates = load.est_candidates
@@ -195,7 +178,7 @@ def _unit_cost(backend: str, load: WorkloadEstimate, shape: StatementShape) -> f
 def _segmented_cost(
     stats: StoreStats, load: WorkloadEstimate, shape: StatementShape
 ) -> Tuple[float, str]:
-    """Serial seconds (and their breakdown) of the segmented bitmap kernel.
+    """Seconds (and their breakdown) of the segmented bitmap kernel.
 
     One call per pass counts every candidate in every unit, so nothing
     here is multiplied by the unit count except the index width: each
@@ -217,7 +200,7 @@ def backend_costs(
     shape: StatementShape,
     calibrations: Optional[Dict[str, float]] = None,
 ) -> Tuple[BackendCost, ...]:
-    """Estimated serial cost of every modelled backend, model order."""
+    """Estimated cost of every modelled backend, model order."""
     load = estimate_workload(stats, shape)
     # The Python around the kernel, the same whichever backend counts.
     mining = load.est_candidates * load.n_units * _W_CELL
@@ -234,49 +217,9 @@ def backend_costs(
             BackendCost(
                 backend=backend,
                 seconds=counting + mining,
-                counting_seconds=counting,
                 detail=f"{detail} + mining {mining:.2e}s",
                 calibration=(calibrations or {}).get(backend, 1.0),
             )
         )
     return tuple(results)
 
-
-def parallel_seconds(serial_seconds: float, workers: int, n_shards: int) -> float:
-    """Estimated wall seconds when fanned out over ``workers``."""
-    if workers <= 1:
-        return serial_seconds
-    return (
-        serial_seconds / workers
-        + _FORK_SECONDS
-        + n_shards * _SHARD_DISPATCH
-    )
-
-
-def choose_workers(
-    serial_seconds: float,
-    cpu_count: int,
-    max_shards: int,
-    pin: Optional[int] = None,
-) -> Tuple[int, int]:
-    """Pick ``(workers, n_shards)`` minimizing estimated wall time.
-
-    Shards are contiguous time ranges, so the fan-out is bounded by the
-    shardable unit count; a worker count is only chosen when the model
-    expects at least ``_MIN_PARALLEL_GAIN`` seconds of real savings —
-    fork overhead makes small wins losses in practice.
-    """
-    if pin is not None:
-        return pin, min(max(pin, 1), max(max_shards, 1))
-    best_workers, best_shards = 1, 1
-    best_seconds = serial_seconds
-    limit = max(1, min(cpu_count, max_shards))
-    candidate = 2
-    while candidate <= limit:
-        shards = min(candidate, max_shards)
-        seconds = parallel_seconds(serial_seconds, candidate, shards)
-        if seconds < best_seconds - _MIN_PARALLEL_GAIN:
-            best_workers, best_shards = candidate, shards
-            best_seconds = seconds
-        candidate *= 2
-    return best_workers, best_shards

@@ -1,8 +1,8 @@
 """The :class:`QueryPlan` — one statement's resolved execution plan.
 
 A plan is the single object every layer consumes instead of reading the
-old knobs directly: the miner takes ``backend``/``workers`` from it, the
-parallel executor takes ``n_shards``, the service records it on the job,
+old knobs directly: the miner takes ``backend`` from it, the service
+records it on the job,
 ``EXPLAIN`` renders :meth:`QueryPlan.describe_rows`, and traces/metrics
 carry :meth:`QueryPlan.to_dict`.  Plans are frozen and fully determined
 by (stats, shape, pins, calibration), so planner behaviour is
@@ -28,13 +28,9 @@ class QueryPlan:
     """The planner's decision for one statement against one store."""
 
     backend: str
-    workers: int
-    n_shards: int
     cache_policy: str  # "reuse" | "bypass"
     backend_pinned: bool
-    workers_pinned: bool
-    est_seconds: float  # estimated wall seconds of the chosen configuration
-    est_serial_seconds: float  # chosen backend, workers=1
+    est_seconds: float  # estimated wall seconds on the chosen backend
     costs: Tuple[BackendCost, ...]
     workload: WorkloadEstimate
     stats: StoreStats
@@ -46,7 +42,7 @@ class QueryPlan:
     # ------------------------------------------------------------------
 
     def cost_summary(self) -> str:
-        """One line of per-backend serial estimates, model order."""
+        """One line of per-backend estimates, model order."""
         return "  ".join(
             f"{cost.backend}={_fmt_seconds(cost.calibrated_seconds)}"
             for cost in self.costs
@@ -57,8 +53,6 @@ class QueryPlan:
         pin = lambda flag: " (pinned)" if flag else ""  # noqa: E731
         rows = [
             ("plan: backend", f"{self.backend}{pin(self.backend_pinned)}"),
-            ("plan: workers", f"{self.workers}{pin(self.workers_pinned)}"),
-            ("plan: shards", str(self.n_shards)),
             ("plan: cache", self.cache_policy),
             ("plan: est cost", _fmt_seconds(self.est_seconds)),
             ("plan: backend costs", self.cost_summary()),
@@ -84,13 +78,9 @@ class QueryPlan:
         """JSON-friendly form (job records, traces, reports)."""
         return {
             "backend": self.backend,
-            "workers": self.workers,
-            "n_shards": self.n_shards,
             "cache_policy": self.cache_policy,
             "backend_pinned": self.backend_pinned,
-            "workers_pinned": self.workers_pinned,
             "est_seconds": round(self.est_seconds, 6),
-            "est_serial_seconds": round(self.est_serial_seconds, 6),
             "costs": {
                 cost.backend: round(cost.calibrated_seconds, 6)
                 for cost in self.costs
@@ -104,22 +94,4 @@ class QueryPlan:
         }
 
 
-def pinned_plan(
-    backend: str,
-    workers: int,
-    plan: "QueryPlan",
-) -> "QueryPlan":
-    """A copy of ``plan`` with both decisions forced (testing helper)."""
-    from dataclasses import replace
-
-    return replace(
-        plan,
-        backend=backend,
-        workers=workers,
-        n_shards=min(max(workers, 1), max(plan.n_shards, 1)),
-        backend_pinned=True,
-        workers_pinned=True,
-    )
-
-
-__all__ = ["QueryPlan", "pinned_plan"]
+__all__ = ["QueryPlan"]

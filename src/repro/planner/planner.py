@@ -6,17 +6,15 @@ The decision procedure, in order:
    applying per-backend calibration factors learned from observed run
    times (see :func:`calibration_factors`).
 2. Honour pins: an explicit ``SET ENGINE x`` / ``TemporalMiner(counting=
-   "x")`` or ``SET WORKERS n`` forces that decision and the plan marks
-   it ``(pinned)``; the ``REPRO_PLAN`` environment variable pins the
-   backend process-wide (CI uses this to prove plan-independence of
-   results).
-3. Otherwise pick the cheapest calibrated backend, then the worker
-   count/shard fan-out that minimizes estimated wall time on this
-   host's CPUs (``REPRO_PLAN_CPUS`` overrides ``os.cpu_count()`` so
-   planner decisions are reproducible across machines).
+   "x")`` forces the backend and the plan marks it ``(pinned)``; the
+   ``REPRO_PLAN`` environment variable pins the backend process-wide
+   (CI uses this to prove plan-independence of results).
+3. Otherwise pick the cheapest calibrated backend.
 
+Every run is serial, so a plan depends only on the store's stats, the
+statement shape, the pins and the calibration — never on the host.
 Every decision increments ``repro_planner_decisions_total`` so the
-chosen backends/worker counts are visible at ``/v1/metrics``.
+chosen backends are visible at ``/v1/metrics``.
 """
 
 from __future__ import annotations
@@ -32,39 +30,17 @@ from repro.planner.cost import (
     COSTED_BACKENDS,
     StatementShape,
     backend_costs,
-    choose_workers,
     estimate_workload,
-    parallel_seconds,
 )
 from repro.planner.plan import QueryPlan
-from repro.planner.stats import StoreStats, compute_stats
+from repro.planner.stats import compute_stats
 
 #: Environment variable pinning the planner's backend choice ("auto" = off).
 PLAN_ENV = "REPRO_PLAN"
-#: Environment variable overriding the CPU count the planner sees.
-PLAN_CPUS_ENV = "REPRO_PLAN_CPUS"
 
 #: Calibration factors are clamped to this band — a wildly skewed factor
 #: means the observations and the model disagree on workload, not speed.
 _CALIBRATION_BAND = (0.2, 5.0)
-
-
-def _plan_cpu_count() -> int:
-    """CPUs the planner may fan out over (env override wins)."""
-    raw = os.environ.get(PLAN_CPUS_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-        warnings.warn(
-            f"ignoring malformed {PLAN_CPUS_ENV}={raw!r} (want an integer >= 1)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return max(os.cpu_count() or 1, 1)
 
 
 def _env_backend_pin() -> Optional[str]:
@@ -95,7 +71,7 @@ def record_observed(
     correct persistent model bias.  Skipped for instant runs, which are
     all dispatch noise.
     """
-    if actual_seconds <= 0 or plan.est_serial_seconds <= 0:
+    if actual_seconds <= 0 or plan.est_seconds <= 0:
         return
     registry = metrics if metrics is not None else default_registry()
     labels = {"backend": plan.backend}
@@ -147,15 +123,13 @@ def plan_query(
     source,
     shape: StatementShape,
     pin_backend: Optional[str] = None,
-    pin_workers: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    cpu_count: Optional[int] = None,
 ) -> QueryPlan:
     """Plan one statement against one store.
 
     ``source`` is anything :func:`repro.planner.stats.compute_stats`
-    accepts.  ``pin_backend``/``pin_workers`` come from explicit ``SET``
-    statements or miner arguments; ``None`` (or ``"auto"``) means AUTO.
+    accepts.  ``pin_backend`` comes from an explicit ``SET ENGINE`` or
+    miner argument; ``None`` (or ``"auto"``) means AUTO.
     """
     registry = metrics if metrics is not None else default_registry()
     stats = compute_stats(source)
@@ -180,47 +154,20 @@ def plan_query(
         backend = min(costs, key=lambda c: (c.calibrated_seconds, c.backend)).backend
 
     chosen = by_name.get(backend)
-    serial_seconds = chosen.calibrated_seconds if chosen else 0.0
-    # Only the counting kernel shards; the mining around it stays serial.
-    counting_seconds = chosen.calibrated_counting_seconds if chosen else 0.0
-
-    workload = estimate_workload(stats, shape)
-    cpus = cpu_count if cpu_count is not None else _plan_cpu_count()
-    max_shards = workload.n_units if workload.n_units > 1 else max(
-        1, min(cpus, stats.n_transactions // 2048)
-    )
-    workers, n_shards = choose_workers(
-        counting_seconds, cpus, max_shards, pin=pin_workers
-    )
-    est_seconds = (
-        serial_seconds
-        - counting_seconds
-        + parallel_seconds(counting_seconds, workers, n_shards)
-    )
-    if workers > 1 and pin_workers is None:
-        reasons.append(
-            f"fan-out over {workers} workers saves "
-            f"~{serial_seconds - est_seconds:.2g}s of {serial_seconds:.2g}s"
-        )
-
     plan = QueryPlan(
         backend=backend,
-        workers=workers,
-        n_shards=n_shards,
         cache_policy="reuse" if shape.cacheable else "bypass",
         backend_pinned=pin_backend is not None,
-        workers_pinned=pin_workers is not None,
-        est_seconds=est_seconds,
-        est_serial_seconds=serial_seconds,
+        est_seconds=chosen.calibrated_seconds if chosen else 0.0,
         costs=costs,
-        workload=workload,
+        workload=estimate_workload(stats, shape),
         stats=stats,
         shape=shape,
         reasons=tuple(reasons),
     )
     registry.counter(
         "repro_planner_decisions_total",
-        "Query plans emitted, by chosen backend and worker count.",
-        labelnames=("backend", "workers"),
-    ).inc(backend=plan.backend, workers=str(plan.workers))
+        "Query plans emitted, by chosen backend.",
+        labelnames=("backend",),
+    ).inc(backend=plan.backend)
     return plan

@@ -86,13 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="concurrent statements (worker threads)"
     )
     parser.add_argument(
-        "--mining-workers",
-        type=lambda v: None if v.lower() == "auto" else int(v),
-        default=None,
-        metavar="N|auto",
-        help="process shards per mining run (auto = planner-sized, 1 = serial)",
-    )
-    parser.add_argument(
         "--engine",
         default="auto",
         help="counting backend (auto|dict|hashtree|vertical|packed)",
@@ -233,7 +226,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache_entries=args.cache_entries,
         cache_ttl_seconds=args.cache_ttl,
         engine=args.engine,
-        mining_workers=args.mining_workers,
         default_budget=default_budget,
         journal_path=_durable_path(
             args.journal, args.no_journal, args.db, ".journal"

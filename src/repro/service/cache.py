@@ -15,9 +15,10 @@ re-run, compare).  The cache exploits that by addressing results with
   of the store *content*, so a mutated-then-restored dataset hits the
   old entries again, while any real change misses.
 * Settings cover everything that can alter the serialized result
-  (engine, workers, budget).  Sharding and counting backends are
-  bit-identical by tested invariant, but they stay in the key so a
-  backend bug can never leak results across configurations.
+  (engine, budget, incremental mode).  Counting backends and
+  incremental modes are bit-identical by tested invariant, but they
+  stay in the key so a backend bug can never leak results across
+  configurations.
 
 Eviction is LRU with an optional TTL; invalidation removes exactly the
 entries recorded under one dataset fingerprint (the mutation hook of

@@ -149,8 +149,6 @@ class ServiceConfig:
         max_queue_depth: queued-job bound (admission control).
         cache_entries / cache_ttl_seconds: result-cache sizing.
         engine: counting backend for every run (``"auto"`` = planner).
-        mining_workers: PR 3 process shards *per mining run*
-            (``None`` = planner-sized per query, ``1`` = serial).
         default_budget: budget applied when a request carries none.
         history_limit: finished jobs retained for polling.
         granule_hook: per-granule observer threaded into every run's
@@ -192,7 +190,6 @@ class ServiceConfig:
     cache_entries: int = 256
     cache_ttl_seconds: Optional[float] = None
     engine: str = "auto"
-    mining_workers: Optional[int] = None
     default_budget: Optional[RunBudget] = None
     history_limit: int = 1024
     granule_hook: Optional[Callable[[int], None]] = None
@@ -313,8 +310,6 @@ class MiningService:
         # on the worker; the AST is immutable, so one parse serves all
         # three and every repeat of the same text.
         self._parse = functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)(parse_statement)
-        self._environments: List[ExecutionEnvironment] = []
-        self._environments_lock = threading.Lock()
         self._inflight: Dict[str, List] = {}
         self._inflight_lock = threading.Lock()
         self._closed = False
@@ -755,11 +750,6 @@ class MiningService:
                 "workers": self.config.workers,
                 "max_queue_depth": self.config.max_queue_depth,
                 "engine": self.config.engine,
-                "mining_workers": (
-                    self.config.mining_workers
-                    if self.config.mining_workers is not None
-                    else "auto"
-                ),
                 "cache_entries": self.config.cache_entries,
                 "cache_ttl_seconds": self.config.cache_ttl_seconds,
                 "default_budget": (
@@ -812,16 +802,12 @@ class MiningService:
         self._closed = True
 
     def close(self) -> None:
-        """Shut down: drain the scheduler, release miners, close the store."""
+        """Shut down: drain the scheduler, close the store."""
         if self._closed:
             self._close_durable()
             return
         self._closed = True
         self.scheduler.close()
-        with self._environments_lock:
-            for environment in self._environments:
-                environment.close()
-            self._environments.clear()
         if self._owns_store:
             self.store.close()
         self.traces.close()
@@ -1019,8 +1005,6 @@ class MiningService:
             # Planner estimate-vs-actual is the calibration-loop truth
             # the planner's aggregate counters cannot give per query.
             resources["plan_backend"] = job.plan.get("backend")
-            resources["plan_workers"] = job.plan.get("workers")
-            resources["shards"] = job.plan.get("n_shards")
             resources["planner_est_seconds"] = job.plan.get("est_seconds")
             resources["actual_seconds"] = round(elapsed, 6)
         job.resources = resources
@@ -1102,14 +1086,11 @@ class MiningService:
         if environment is None:
             environment = ExecutionEnvironment(store=self.store, metrics=self.metrics)
             environment.set_engine(self.config.engine)
-            environment.set_workers(self.config.mining_workers)
             if self.config.incremental is not None:
                 environment.set_incremental(self.config.incremental)
             environment.granule_hook = self.config.granule_hook
             self._tls.environment = environment
             self._tls.executor = TmlExecutor(environment)
-            with self._environments_lock:
-                self._environments.append(environment)
         return environment, self._tls.executor
 
     def _refresh_environment(
@@ -1163,7 +1144,6 @@ class MiningService:
         effective = budget if budget is not None else self.config.default_budget
         return {
             "engine": self.config.engine,
-            "workers": self.config.mining_workers,
             "budget": effective.describe() if effective is not None else "off",
             "incremental": self._effective_incremental(),
         }

@@ -3,8 +3,8 @@
 One :class:`JobScheduler` turns the single-user library into a
 multi-tenant service: statements arrive as *jobs*, wait in a priority
 queue, and run on a bounded pool of worker threads (mining releases the
-GIL in its numpy kernels and can additionally fan out to the PR 3
-process shards, so threads are the right concurrency unit here).
+GIL in its numpy kernels, so threads are the right concurrency unit
+here; a cluster fleet scales out across processes).
 
 Lifecycle::
 

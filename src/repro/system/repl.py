@@ -48,9 +48,6 @@ TML statements (end with ';'):
   SET BUDGET OFF;                                -- clear run limits
   SET ENGINE dict|hashtree|vertical|packed;      -- pin counting backend
   SET ENGINE AUTO;                               -- back to planner selection
-  SET WORKERS <n>;                               -- pin parallel counting passes
-  SET WORKERS AUTO;                              -- planner sizes the fan-out
-  SET WORKERS OFF;                               -- pin serial execution
   SET TRACE ON|OFF;                              -- span trees on mining runs
 
 Ctrl-C during a MINE cancels that run (a partial report is printed);
@@ -60,7 +57,6 @@ Dot commands:
   .help               this text
   .budget             show the session mining budget
   .engine [name]      show or set the counting backend (auto to unpin)
-  .workers [n|auto]   show or set the worker-process count (auto = planner)
   .demo               load a bundled synthetic demo dataset as 'sales'
   .load <name> <csv>  load a (tid,ts,item) CSV as dataset <name>
   .datasets           list registered datasets
@@ -137,19 +133,6 @@ def _dispatch_dot(session: IqmsSession, line: str) -> Optional[str]:
             return "usage: .engine [<backend>|auto]"
         session.set_engine(parts[1])
         return f"engine: {session.engine}"
-    if command == ".workers":
-        if len(parts) == 1:
-            if session.workers is None:
-                return "workers: auto (planner-sized)"
-            mode = "serial" if session.workers == 1 else "sharded"
-            return f"workers: {session.workers} ({mode})"
-        if len(parts) == 2 and parts[1].lower() == "auto":
-            session.set_workers(None)
-            return "workers: auto (planner-sized)"
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
-            return "usage: .workers [auto|<n>=1]"
-        session.set_workers(int(parts[1]))
-        return f"workers: {session.workers}"
     if command == ".demo":
         return _demo_session(session)
     if command == ".load":
@@ -215,7 +198,9 @@ def _dispatch_dot(session: IqmsSession, line: str) -> Optional[str]:
                 f"{' (draining)' if scheduler.get('draining') else ''}\n"
                 f"{journal_line}"
             )
-        if len(parts) > 2 or (len(parts) == 2 and not parts[1].isdigit()):
+        if len(parts) > 2 or (
+            len(parts) == 2 and not (parts[1].isdigit() and int(parts[1]) <= 65535)
+        ):
             return "usage: .serve [<port>|stop|status]"
         if session.serving_url is not None:
             return f"already serving on {session.serving_url} (.serve stop first)"
@@ -263,7 +248,9 @@ def repl(
         if not buffer and stripped.startswith("."):
             try:
                 output = _dispatch_dot(session, stripped)
-            except ReproError as error:
+            except (ReproError, OSError) as error:
+                # A missing CSV or an unwritable export path is the
+                # user's to fix; the session survives it.
                 emit(f"error: {error}")
                 continue
             if output is None:

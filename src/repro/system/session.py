@@ -36,7 +36,6 @@ from repro.tml.ast import (
     SetBudgetStatement,
     SetEngineStatement,
     SetTraceStatement,
-    SetWorkersStatement,
     ShowStatement,
     SqlStatement,
 )
@@ -133,21 +132,6 @@ class IqmsSession:
         self.workflow.record(f"set engine: {engine}")
 
     @property
-    def workers(self) -> Optional[int]:
-        """Worker-process count for mining runs (None = planner AUTO)."""
-        return self.environment.workers
-
-    def set_workers(self, workers: Optional[int]) -> None:
-        """Fan counting out to ``workers`` processes.
-
-        ``None`` (AUTO) lets the planner size the fan-out per query;
-        ``1`` pins serial.
-        """
-        self.environment.set_workers(workers)
-        shown = "auto" if workers is None else workers
-        self.workflow.record(f"set workers: {shown}")
-
-    @property
     def trace(self) -> bool:
         """Whether mining runs collect span trees (see :meth:`stats`)."""
         return self.environment.trace
@@ -202,7 +186,6 @@ class IqmsSession:
             store=self.store,
             config=ServiceConfig(
                 engine=self.environment.engine,
-                mining_workers=self.environment.workers,
                 default_budget=self.environment.budget,
                 journal_path=journal_path,
             ),
@@ -289,7 +272,6 @@ class IqmsSession:
                 SetBudgetStatement,
                 SetEngineStatement,
                 SetTraceStatement,
-                SetWorkersStatement,
             ),
         ):
             self.workflow.record(statement.render())

@@ -363,13 +363,12 @@ class SetEngineStatement:
 
 @dataclass(frozen=True)
 class SetWorkersStatement:
-    """``SET WORKERS <n>;`` — pin counting passes to ``n`` processes.
+    """``SET WORKERS <n>|AUTO|OFF;`` — parsed and rendered, never run.
 
-    ``SET WORKERS AUTO;`` (the session default, ``workers=None``) lets
-    the planner size the fan-out per query; ``SET WORKERS OFF;``
-    (equivalently ``SET WORKERS 1;``) pins serial execution.  Sharded
-    runs produce bit-identical results to serial ones (see
-    :mod:`repro.parallel`), so this is purely a performance knob.
+    Every mining run is serial, so the executor rejects the statement
+    with an error that points at ``repro-cluster`` for scaling out.  It
+    still parses (``AUTO`` is ``workers=None``, ``OFF`` is ``off=True``)
+    so that scripts and logs holding it round-trip.
     """
 
     workers: Optional[int] = 1

@@ -35,11 +35,7 @@ from repro.db.query import (
 )
 from repro.db.sqlite_store import SqliteStore
 from repro.errors import MiningParameterError, TmlExecutionError
-from repro.mining.engine import (
-    TemporalMiner,
-    _incremental_from_env,
-    _workers_from_env,
-)
+from repro.mining.engine import TemporalMiner, _incremental_from_env
 from repro.mining.results import MiningReport
 from repro.mining.tasks import (
     ConstrainedTask,
@@ -78,6 +74,12 @@ from repro.tml.ast import (
     Statement,
 )
 from repro.tml.parser import parse_script, parse_statement
+
+#: Why ``SET WORKERS`` parses but never executes: a mining run is serial.
+SET_WORKERS_UNSUPPORTED = (
+    "SET WORKERS is not supported: every mining run is serial; "
+    "to scale out, serve the store from several processes with repro-cluster"
+)
 
 
 @dataclass
@@ -120,7 +122,6 @@ class ExecutionEnvironment:
         self._store_backed: set = set()
         self.budget: Optional[RunBudget] = None
         self.engine: str = "auto"
-        self.workers: Optional[int] = _workers_from_env()
         self.incremental: str = _incremental_from_env()
         self.metrics = metrics
         self.trace: bool = False
@@ -165,7 +166,6 @@ class ExecutionEnvironment:
             miner = TemporalMiner(
                 self.resolve(name),
                 counting=self.engine,
-                workers=self.workers,
                 metrics=self.metrics,
                 trace=self.trace,
                 incremental=self.incremental,
@@ -186,20 +186,6 @@ class ExecutionEnvironment:
             raise TmlExecutionError(str(error)) from None
         for miner in self._miners.values():
             miner.set_counting(engine)
-
-    def set_workers(self, workers: Optional[int]) -> None:
-        """Pin the worker-process count for every subsequent ``MINE``.
-
-        ``None`` (AUTO, the default) lets the planner size the fan-out
-        per query; ``1`` pins serial.  Cached miners are updated in
-        place (each tears down its pool and lazily builds a new one on
-        the next run).
-        """
-        if workers is not None and workers < 1:
-            raise TmlExecutionError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        for miner in self._miners.values():
-            miner.set_workers(workers)
 
     def set_trace(self, trace: bool) -> None:
         """Toggle per-run tracing for every subsequent ``MINE``.
@@ -231,11 +217,6 @@ class ExecutionEnvironment:
         self.incremental = normalized
         for miner in self._miners.values():
             miner.set_incremental(normalized)
-
-    def close(self) -> None:
-        """Release every cached miner's worker pool."""
-        for miner in self._miners.values():
-            miner.close()
 
     def note_store_mutation(self) -> None:
         """Invalidate store-backed state after a mutating SQL statement.
@@ -314,7 +295,7 @@ class TmlExecutor:
         if isinstance(statement, SetEngineStatement):
             return self._set_engine(statement)
         if isinstance(statement, SetWorkersStatement):
-            return self._set_workers(statement)
+            raise TmlExecutionError(SET_WORKERS_UNSUPPORTED)
         if isinstance(statement, SetTraceStatement):
             return self._set_trace(statement)
         if isinstance(statement, SetIncrementalStatement):
@@ -543,10 +524,8 @@ class TmlExecutor:
                 rows.append(("stop_reason", diagnostics.stop_reason))
         plan = getattr(report, "plan", None)
         if plan is not None:
-            pin = lambda key: " (pinned)" if plan.get(key) else ""  # noqa: E731
-            rows.append(("plan: backend", f"{plan['backend']}{pin('backend_pinned')}"))
-            rows.append(("plan: workers", f"{plan['workers']}{pin('workers_pinned')}"))
-            rows.append(("plan: shards", str(plan["n_shards"])))
+            pinned = " (pinned)" if plan["backend_pinned"] else ""
+            rows.append(("plan: backend", f"{plan['backend']}{pinned}"))
             rows.append(
                 (
                     "plan: est vs actual seconds",
@@ -605,15 +584,6 @@ class TmlExecutor:
         self.environment.set_engine(engine)
         result = QueryResult(
             columns=("property", "value"), rows=(("engine", engine),)
-        )
-        return ExecutionResult(statement, result, partial(result.format, limit=0))
-
-    def _set_workers(self, statement: SetWorkersStatement) -> ExecutionResult:
-        workers = 1 if statement.off else statement.workers
-        self.environment.set_workers(workers)
-        shown = "auto" if workers is None else str(workers)
-        result = QueryResult(
-            columns=("property", "value"), rows=(("workers", shown),)
         )
         return ExecutionResult(statement, result, partial(result.format, limit=0))
 

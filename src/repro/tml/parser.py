@@ -262,7 +262,7 @@ class _Parser:
         if self._accept_keyword("ENGINE"):
             return self._parse_set_engine()
         if self._accept_keyword("WORKERS"):
-            return self._parse_set_workers()
+            return self._parse_workers()
         if self._accept_keyword("TRACE"):
             return self._parse_set_trace()
         if self._accept_keyword("INCREMENTAL"):
@@ -319,7 +319,7 @@ class _Parser:
         self._finish()
         return SetEngineStatement(engine=name)
 
-    def _parse_set_workers(self) -> SetWorkersStatement:
+    def _parse_workers(self) -> SetWorkersStatement:
         if self._accept_keyword("OFF"):
             self._finish()
             return SetWorkersStatement(workers=1, off=True)

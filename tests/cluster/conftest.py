@@ -47,7 +47,6 @@ class InProcWorker:
                 metrics=MetricsRegistry(),
                 disk_cache_path=shared_cache,
                 worker_id=worker_id,
-                mining_workers=1,
             ),
         )
         self.server = MiningHTTPServer(self.service, port=0)

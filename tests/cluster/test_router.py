@@ -565,7 +565,6 @@ class TestDistributedTracing:
         try:
             session = IqmsSession(store=store)
             session.set_trace(True)
-            session.set_workers(1)  # the in-process fleet pins 1 shard
             report = session.run(MINE_QUERY).payload
         finally:
             store.close()

@@ -2,20 +2,18 @@
 
 Each test renders ``EXPLAIN MINE ...`` (no mining happens) against a
 deterministic dataset and locks the complete row set — statement
-properties *and* the planner's decision rows (backend, workers, shards,
-cache policy, cost estimates) — into a JSON snapshot.  Any change to the
+properties *and* the planner's decision rows (backend, cache policy,
+cost estimates) — into a JSON snapshot.  Any change to the
 cost model, the statistics layer, or the EXPLAIN rendering shows up as a
 readable diff; rewrite intentionally with ``--update-golden``.
 
 Determinism:
 
-* ``REPRO_PLAN_CPUS`` is pinned so plans do not depend on the host;
 * each test uses a fresh :class:`~repro.obs.metrics.MetricsRegistry`,
   so planner calibration is empty and cost estimates are the model's
   raw output;
-* ``REPRO_PLAN`` / ``REPRO_WORKERS`` / ``REPRO_INCREMENTAL`` are
-  cleared so host environments cannot pin a backend, worker count or
-  refresh mode under the test (the incremental decision has its own
+* ``REPRO_PLAN`` / ``REPRO_INCREMENTAL`` are cleared so host
+  environments cannot pin a backend or refresh mode under the test (the incremental decision has its own
   env-pinned snapshots in ``test_golden_incremental.py``).
 """
 
@@ -54,21 +52,16 @@ EXPLAIN_STATEMENTS = {
 
 
 @pytest.fixture(autouse=True)
-def pinned_planner_host(monkeypatch):
-    """Plans must not depend on the machine running the suite."""
-    monkeypatch.setenv("REPRO_PLAN_CPUS", "4")
+def no_env_pins(monkeypatch):
+    """Plans must not depend on the environment running the suite."""
     monkeypatch.delenv("REPRO_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
 
 
 def _explain_rows(database, statement: str) -> dict:
     environment = ExecutionEnvironment(metrics=MetricsRegistry())
     environment.register("sales", database)
-    try:
-        result = TmlExecutor(environment).execute(statement)
-    finally:
-        environment.close()
+    result = TmlExecutor(environment).execute(statement)
     return {"rows": [list(row) for row in result.payload.rows]}
 
 

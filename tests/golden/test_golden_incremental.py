@@ -40,11 +40,9 @@ _BASE = datetime(2026, 3, 2)
 
 
 @pytest.fixture(autouse=True)
-def pinned_planner_host(monkeypatch):
-    """Plans must not depend on the machine running the suite."""
-    monkeypatch.setenv("REPRO_PLAN_CPUS", "4")
+def no_env_pins(monkeypatch):
+    """Plans must not depend on the environment running the suite."""
     monkeypatch.delenv("REPRO_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
 
 
@@ -52,14 +50,11 @@ def _incremental_rows(append_batch) -> dict:
     environment = ExecutionEnvironment(metrics=MetricsRegistry())
     environment.register("sales", canonical_basket_db())
     executor = TmlExecutor(environment)
-    try:
-        executor.execute("SET INCREMENTAL AUTO;")
-        if append_batch is not None:
-            executor.execute(MINE)  # prime the per-unit count cache
-            environment.miner("sales").apply_append(append_batch)
-        result = executor.execute(EXPLAIN)
-    finally:
-        environment.close()
+    executor.execute("SET INCREMENTAL AUTO;")
+    if append_batch is not None:
+        executor.execute(MINE)  # prime the per-unit count cache
+        environment.miner("sales").apply_append(append_batch)
+    result = executor.execute(EXPLAIN)
     rows = [
         list(row)
         for row in result.payload.rows

@@ -3,10 +3,10 @@
 Each test mines a fixed dataset with fixed parameters and locks the
 *complete* result set — rule keys, unit ranges, and every measure
 rounded to 10 decimal places — into a JSON snapshot.  Refactors of the
-counting hot path (new backends, sharded execution, layout changes)
-cannot silently alter mining output: any drift shows up as a readable
-JSON diff.  The serial and ``workers=2`` paths are both checked against
-the *same* snapshots, which doubles as a fixed-point differential test.
+counting hot path (new backends, layout changes) cannot silently alter
+mining output: any drift shows up as a readable JSON diff.  Every
+counting backend is checked against the *same* snapshot, which doubles
+as a fixed-point differential test.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from repro.mining.tasks import (
 )
 from repro.temporal.granularity import Granularity
 from repro.temporal.interval import TimeInterval
-
-WORKER_MODES = (1, 2)
-
 
 def _round(value: float) -> float:
     return round(float(value), 10)
@@ -143,21 +140,18 @@ def quest_db() -> TransactionDatabase:
     return canonical_quest_db()
 
 
-@pytest.mark.parametrize("workers", WORKER_MODES)
-def test_golden_valid_periods_baskets(basket_db, golden_check, workers):
+def test_golden_valid_periods_baskets(basket_db, golden_check):
     task = ValidPeriodTask(
         granularity=Granularity.DAY,
         thresholds=RuleThresholds(min_support=0.3, min_confidence=0.6),
         min_frequency=0.8,
         min_coverage=2,
     )
-    with TemporalMiner(basket_db, workers=workers) as miner:
-        report = miner.valid_periods(task)
+    report = TemporalMiner(basket_db).valid_periods(task)
     golden_check("valid_periods_baskets", serialize_report(report))
 
 
-@pytest.mark.parametrize("workers", WORKER_MODES)
-def test_golden_periodicities_baskets(basket_db, golden_check, workers):
+def test_golden_periodicities_baskets(basket_db, golden_check):
     task = PeriodicityTask(
         granularity=Granularity.DAY,
         thresholds=RuleThresholds(min_support=0.3, min_confidence=0.6),
@@ -165,13 +159,11 @@ def test_golden_periodicities_baskets(basket_db, golden_check, workers):
         min_repetitions=2,
         min_match=1.0,
     )
-    with TemporalMiner(basket_db, workers=workers) as miner:
-        report = miner.periodicities(task)
+    report = TemporalMiner(basket_db).periodicities(task)
     golden_check("periodicities_baskets", serialize_report(report))
 
 
-@pytest.mark.parametrize("workers", WORKER_MODES)
-def test_golden_interleaved_baskets(basket_db, golden_check, workers):
+def test_golden_interleaved_baskets(basket_db, golden_check):
     task = PeriodicityTask(
         granularity=Granularity.DAY,
         thresholds=RuleThresholds(min_support=0.3, min_confidence=0.6),
@@ -179,41 +171,35 @@ def test_golden_interleaved_baskets(basket_db, golden_check, workers):
         min_repetitions=2,
         min_match=1.0,
     )
-    with TemporalMiner(basket_db, workers=workers) as miner:
-        report = miner.periodicities(task, interleaved=True)
+    report = TemporalMiner(basket_db).periodicities(task, interleaved=True)
     golden_check("periodicities_interleaved_baskets", serialize_report(report))
 
 
-@pytest.mark.parametrize("workers", WORKER_MODES)
-def test_golden_constrained_baskets(basket_db, golden_check, workers):
+def test_golden_constrained_baskets(basket_db, golden_check):
     start, end = basket_db.time_span()
     task = ConstrainedTask(
         feature=TimeInterval(start, start + timedelta(days=7)),
         thresholds=RuleThresholds(min_support=0.2, min_confidence=0.6),
     )
-    with TemporalMiner(basket_db, workers=workers) as miner:
-        report = miner.with_feature(task)
+    report = TemporalMiner(basket_db).with_feature(task)
     golden_check("constrained_baskets", serialize_report(report))
 
 
 @pytest.mark.parametrize("backend", ("dict", "hashtree", "vertical", "packed"))
-@pytest.mark.parametrize("workers", WORKER_MODES)
-def test_golden_valid_periods_quest(quest_db, golden_check, backend, workers):
+def test_golden_valid_periods_quest(quest_db, golden_check, backend):
     task = ValidPeriodTask(
         granularity=Granularity.DAY,
         thresholds=RuleThresholds(min_support=0.15, min_confidence=0.5),
         min_frequency=0.75,
         min_coverage=2,
     )
-    with TemporalMiner(quest_db, counting=backend, workers=workers) as miner:
-        report = miner.valid_periods(task)
-    # All backends and worker counts share ONE snapshot: output must not
-    # depend on how the counting was executed.
+    report = TemporalMiner(quest_db, counting=backend).valid_periods(task)
+    # All backends share ONE snapshot: output must not depend on how the
+    # counting was executed.
     golden_check("valid_periods_quest", serialize_report(report))
 
 
-@pytest.mark.parametrize("workers", WORKER_MODES)
-def test_golden_periodicities_quest(quest_db, golden_check, workers):
+def test_golden_periodicities_quest(quest_db, golden_check):
     task = PeriodicityTask(
         granularity=Granularity.DAY,
         thresholds=RuleThresholds(min_support=0.15, min_confidence=0.5),
@@ -221,6 +207,5 @@ def test_golden_periodicities_quest(quest_db, golden_check, workers):
         min_repetitions=2,
         min_match=0.8,
     )
-    with TemporalMiner(quest_db, workers=workers) as miner:
-        report = miner.periodicities(task)
+    report = TemporalMiner(quest_db).periodicities(task)
     golden_check("periodicities_quest", serialize_report(report))

@@ -7,9 +7,11 @@ after *every* batch mines with delta maintenance on, comparing
 bit-for-bit against a cold miner built from scratch over the identical
 database: same results, same per-unit support arrays, same run
 diagnostics (granule coverage included).  The matrix covers all four
-counting backends and workers 1..4, mirroring the parallel differential
-suite: any refactor of the delta path that changes output, however
-subtly, fails here first.
+counting backends and, through the contexts' ``executor=`` hook,
+sharded counting over 2..4 workers (``workers=1`` mines through the
+miner itself), mirroring the parallel differential suite: any refactor
+of the delta path that changes output, however subtly, fails here
+first.
 """
 
 from __future__ import annotations
@@ -24,8 +26,12 @@ from repro.columnar.encoded import EncodedDatabase
 from repro.core import TransactionDatabase
 from repro.datagen import QuestConfig, generate_baskets
 from repro.incremental import IncrementalContext, append_encoded
+from repro.mining.context import per_unit_frequent_itemsets
 from repro.mining.engine import TemporalMiner
+from repro.mining.periodicities import discover_periodicities
 from repro.mining.tasks import PeriodicityTask, RuleThresholds, ValidPeriodTask
+from repro.mining.valid_periods import discover_valid_periods
+from repro.parallel import ShardedExecutor
 from repro.temporal.granularity import Granularity, unit_index
 
 BACKENDS = ("dict", "hashtree", "vertical", "packed")
@@ -101,6 +107,29 @@ def build_database(rows) -> TransactionDatabase:
     for timestamp, items in rows:
         db.add(timestamp, items)
     return db
+
+
+def _mine(miner, task, executor=None):
+    """One Task 1/2 run of ``miner``; sharded counting with an executor.
+
+    The sharded form counts the miner's own (possibly incremental)
+    context through the ``executor=`` hook, so a warm context splices
+    its delta against counts the executor produced.
+    """
+    periods = isinstance(task, ValidPeriodTask)
+    if executor is None:
+        return miner.valid_periods(task) if periods else miner.periodicities(task)
+    context = miner.context(task.granularity)
+    counts = per_unit_frequent_itemsets(
+        context,
+        task.thresholds.min_support,
+        min_units=task.min_valid_units if periods else task.min_repetitions,
+        max_size=task.max_rule_size,
+        counting=miner.counting,
+        executor=executor,
+    )
+    discover = discover_valid_periods if periods else discover_periodicities
+    return discover(miner.database, task, context=context, counts=counts)
 
 
 def _assert_reports_identical(warm, cold) -> None:
@@ -180,24 +209,20 @@ def test_append_encoded_tail_fast_path_flag():
 def test_incremental_valid_periods_bit_identical(backend, workers, kind):
     rows = base_transactions(11)
     applied = list(rows)
-    with TemporalMiner(
-        build_database(rows),
-        counting=backend,
-        workers=workers,
-        incremental="on",
-    ) as warm_miner:
-        warm_miner.valid_periods(_PERIODS_TASK)  # prime the count cache
+    warm_miner = TemporalMiner(
+        build_database(rows), counting=backend, incremental="on"
+    )
+    with ShardedExecutor(workers) as pool:
+        executor = pool if workers > 1 else None
+        _mine(warm_miner, _PERIODS_TASK, executor)  # prime the count cache
         for batch in append_schedule(11, kind, len(rows)):
             warm_miner.apply_append(batch)
             applied.extend(batch)
-            warm = warm_miner.valid_periods(_PERIODS_TASK)
-            with TemporalMiner(
-                build_database(applied),
-                counting=backend,
-                workers=workers,
-                incremental="off",
-            ) as cold_miner:
-                cold = cold_miner.valid_periods(_PERIODS_TASK)
+            warm = _mine(warm_miner, _PERIODS_TASK, executor)
+            cold_miner = TemporalMiner(
+                build_database(applied), counting=backend, incremental="off"
+            )
+            cold = _mine(cold_miner, _PERIODS_TASK, executor)
             _assert_reports_identical(warm, cold)
 
 
@@ -207,24 +232,20 @@ def test_incremental_valid_periods_bit_identical(backend, workers, kind):
 def test_incremental_periodicities_bit_identical(backend, workers, kind):
     rows = base_transactions(23)
     applied = list(rows)
-    with TemporalMiner(
-        build_database(rows),
-        counting=backend,
-        workers=workers,
-        incremental="on",
-    ) as warm_miner:
-        warm_miner.periodicities(_PERIODICITY_TASK)
+    warm_miner = TemporalMiner(
+        build_database(rows), counting=backend, incremental="on"
+    )
+    with ShardedExecutor(workers) as pool:
+        executor = pool if workers > 1 else None
+        _mine(warm_miner, _PERIODICITY_TASK, executor)
         for batch in append_schedule(23, kind, len(rows), sizes=(2, 111)):
             warm_miner.apply_append(batch)
             applied.extend(batch)
-            warm = warm_miner.periodicities(_PERIODICITY_TASK)
-            with TemporalMiner(
-                build_database(applied),
-                counting=backend,
-                workers=workers,
-                incremental="off",
-            ) as cold_miner:
-                cold = cold_miner.periodicities(_PERIODICITY_TASK)
+            warm = _mine(warm_miner, _PERIODICITY_TASK, executor)
+            cold_miner = TemporalMiner(
+                build_database(applied), counting=backend, incremental="off"
+            )
+            cold = _mine(cold_miner, _PERIODICITY_TASK, executor)
             _assert_reports_identical(warm, cold)
 
 
@@ -233,22 +254,18 @@ def test_auto_mode_matches_off_after_every_batch(kind):
     """AUTO may pick delta or full per batch — results never differ."""
     rows = base_transactions(31)
     applied = list(rows)
-    with TemporalMiner(
-        build_database(rows), incremental="auto"
-    ) as auto_miner:
-        auto_miner.valid_periods(_PERIODS_TASK)
-        for batch in append_schedule(31, kind, len(rows), sizes=(1, 5, 199)):
-            auto_miner.apply_append(batch)
-            applied.extend(batch)
-            decision = auto_miner.refresh_for(Granularity.DAY)
-            assert decision is not None
-            assert decision.strategy in ("delta", "full")
-            warm = auto_miner.valid_periods(_PERIODS_TASK)
-            with TemporalMiner(
-                build_database(applied), incremental="off"
-            ) as cold_miner:
-                cold = cold_miner.valid_periods(_PERIODS_TASK)
-            _assert_reports_identical(warm, cold)
+    auto_miner = TemporalMiner(build_database(rows), incremental="auto")
+    auto_miner.valid_periods(_PERIODS_TASK)
+    for batch in append_schedule(31, kind, len(rows), sizes=(1, 5, 199)):
+        auto_miner.apply_append(batch)
+        applied.extend(batch)
+        decision = auto_miner.refresh_for(Granularity.DAY)
+        assert decision is not None
+        assert decision.strategy in ("delta", "full")
+        warm = auto_miner.valid_periods(_PERIODS_TASK)
+        cold_miner = TemporalMiner(build_database(applied), incremental="off")
+        cold = cold_miner.valid_periods(_PERIODS_TASK)
+        _assert_reports_identical(warm, cold)
 
 
 def test_single_transaction_batches_random_walk():
@@ -256,22 +273,18 @@ def test_single_transaction_batches_random_walk():
     rng = random.Random(97)
     rows = base_transactions(41, n_transactions=120)
     applied = list(rows)
-    with TemporalMiner(
-        build_database(rows), incremental="on"
-    ) as warm_miner:
-        warm_miner.valid_periods(_PERIODS_TASK)
-        for step in range(6):
-            stamp = _START + timedelta(hours=rng.randint(-48, 200))
-            items = tuple(sorted(rng.sample(range(40), rng.randint(1, 5))))
-            batch = [(stamp, items)]
-            warm_miner.apply_append(batch)
-            applied.extend(batch)
-            warm = warm_miner.valid_periods(_PERIODS_TASK)
-            with TemporalMiner(
-                build_database(applied), incremental="off"
-            ) as cold_miner:
-                cold = cold_miner.valid_periods(_PERIODS_TASK)
-            _assert_reports_identical(warm, cold)
+    warm_miner = TemporalMiner(build_database(rows), incremental="on")
+    warm_miner.valid_periods(_PERIODS_TASK)
+    for step in range(6):
+        stamp = _START + timedelta(hours=rng.randint(-48, 200))
+        items = tuple(sorted(rng.sample(range(40), rng.randint(1, 5))))
+        batch = [(stamp, items)]
+        warm_miner.apply_append(batch)
+        applied.extend(batch)
+        warm = warm_miner.valid_periods(_PERIODS_TASK)
+        cold_miner = TemporalMiner(build_database(applied), incremental="off")
+        cold = cold_miner.valid_periods(_PERIODS_TASK)
+        _assert_reports_identical(warm, cold)
 
 
 def test_incremental_context_survives_appends_with_state():
@@ -288,4 +301,3 @@ def test_incremental_context_survives_appends_with_state():
     assert isinstance(rebased, IncrementalContext)
     assert rebased.has_state()  # cache survived the append
     assert rebased.dirty_unit_count() == 1
-    miner.close()

@@ -172,41 +172,3 @@ class TestCountingSelection:
         assert budgeted.diagnostics.stop_reason == "max_candidates"
         assert len(budgeted) > 0  # the partial is non-trivial...
         assert {r.key for r in budgeted} <= {r.key for r in full}  # ...and sound
-
-
-class TestWorkersFromEnv:
-    """REPRO_WORKERS parsing: valid values pin, malformed values warn.
-
-    Unset/blank/malformed all resolve to ``None`` — worker selection is
-    left to the planner (AUTO) rather than forced serial.
-    """
-
-    def test_valid_value(self, monkeypatch):
-        from repro.mining.engine import _workers_from_env
-
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert _workers_from_env() == 4
-
-    def test_unset_defaults_to_auto(self, monkeypatch):
-        from repro.mining.engine import _workers_from_env
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert _workers_from_env() is None
-
-    def test_blank_defaults_without_warning(self, monkeypatch, recwarn):
-        from repro.mining.engine import _workers_from_env
-
-        monkeypatch.setenv("REPRO_WORKERS", "   ")
-        assert _workers_from_env() is None
-        assert not [w for w in recwarn.list if w.category is RuntimeWarning]
-
-    @pytest.mark.parametrize("value", ["zero", "-2", "0", "1.5", "2 workers"])
-    def test_malformed_value_warns_and_names_it(self, monkeypatch, value):
-        from repro.mining.engine import _workers_from_env
-
-        monkeypatch.setenv("REPRO_WORKERS", value)
-        with pytest.warns(RuntimeWarning, match="REPRO_WORKERS"):
-            assert _workers_from_env() is None
-        with pytest.warns(RuntimeWarning) as record:
-            _workers_from_env()
-        assert repr(value) in str(record[0].message)

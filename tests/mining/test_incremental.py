@@ -260,7 +260,6 @@ class TestAtomicAppend:
         after = miner.valid_periods(TASK)
         assert after.n_transactions == before.n_transactions == n_before
         assert after.results == before.results
-        miner.close()
 
     @pytest.mark.parametrize("mode", ["off", "on"])
     def test_fold_keeps_the_callers_database_in_step(self, mode):
@@ -276,4 +275,3 @@ class TestAtomicAppend:
         reencoded = database.encoded()
         for column in ("item_ids", "offsets", "tids", "stamps"):
             assert np.array_equal(getattr(miner.database, column), getattr(reencoded, column))
-        miner.close()

@@ -1,12 +1,13 @@
-"""Differential harness: sharded mining must be bit-identical to serial.
+"""Differential harness: sharded counting must be bit-identical to serial.
 
-Every test mines the same seeded random Quest database twice — once with
-the plain serial path and once through a :class:`ShardedExecutor` — and
+Mining runs are serial; the one sharded path left is the ``executor=``
+hook of :func:`per_unit_frequent_itemsets` and the temporal contexts'
+count methods.  Every test counts the same seeded random Quest database
+twice — once serially and once through a :class:`ShardedExecutor` — and
 asserts the outputs match *exactly*: same itemsets, same per-unit
-support arrays (``np.array_equal``, not approximate), same valid
-periods, same periodicities.  The matrix covers workers 1..4 and all
-three counting backends, so any refactor of the counting hot path that
-changes output, however subtly, fails here first.
+support arrays (``np.array_equal``, not approximate), and the same valid
+periods and periodicities derived from them.  The matrix covers workers
+1..4 and all four counting backends.
 """
 
 from __future__ import annotations
@@ -17,18 +18,19 @@ import numpy as np
 import pytest
 
 from repro.core import TransactionDatabase
-from repro.core.apriori import AprioriOptions, apriori
 from repro.core.items import Itemset
 from repro.datagen import QuestConfig, generate_baskets
 from repro.mining.context import TemporalContext, per_unit_frequent_itemsets
 from repro.mining.engine import TemporalMiner
+from repro.mining.periodicities import discover_periodicities
 from repro.mining.tasks import (
     ConstrainedTask,
     PeriodicityTask,
     RuleThresholds,
     ValidPeriodTask,
 )
-from repro.parallel import ShardedExecutor, plan_shards, plan_transaction_shards
+from repro.mining.valid_periods import discover_valid_periods
+from repro.parallel import ShardedExecutor, plan_shards
 from repro.temporal.granularity import Granularity
 from repro.temporal.interval import TimeInterval
 
@@ -69,6 +71,25 @@ def _assert_counts_identical(serial, parallel) -> None:
         assert np.array_equal(row, parallel.counts[itemset]), itemset
 
 
+def _sharded_report(database, task, backend, executor):
+    """Task 1 or 2 mined from per-unit counts the executor produced."""
+    context = TemporalContext(database, task.granularity)
+    if isinstance(task, ValidPeriodTask):
+        min_units, discover = task.min_valid_units, discover_valid_periods
+    else:
+        min_units, discover = task.min_repetitions, discover_periodicities
+    counts = per_unit_frequent_itemsets(
+        context,
+        task.thresholds.min_support,
+        min_units=min_units,
+        max_size=task.max_rule_size,
+        counting=backend,
+        executor=executor,
+    )
+    assert not executor.degraded
+    return discover(database, task, context=context, counts=counts)
+
+
 # ----------------------------------------------------------------------
 # shard planning invariants
 # ----------------------------------------------------------------------
@@ -85,15 +106,6 @@ def test_plan_shards_partitions_every_unit(database):
             assert left.unit_hi == right.unit_lo
             assert left.pos_hi == right.pos_lo
         assert sum(s.n_transactions for s in shards) == len(database)
-
-
-def test_plan_transaction_shards_cover_range():
-    shards = plan_transaction_shards(1001, 4)
-    assert shards[0].pos_lo == 0
-    assert shards[-1].pos_hi == 1001
-    assert sum(s.n_transactions for s in shards) == 1001
-    assert plan_transaction_shards(0, 4) == []
-    assert len(plan_transaction_shards(2, 8)) == 2
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +138,7 @@ def test_count_items_matrix_matches_serial(database, workers):
 
 
 # ----------------------------------------------------------------------
-# the three tasks end to end
+# Tasks 1 and 2 over sharded counts
 # ----------------------------------------------------------------------
 
 
@@ -140,8 +152,8 @@ def test_valid_periods_bit_identical(database, backend, workers):
         min_coverage=2,
     )
     serial = TemporalMiner(database, counting=backend).valid_periods(task)
-    with TemporalMiner(database, counting=backend, workers=workers) as miner:
-        parallel = miner.valid_periods(task)
+    with ShardedExecutor(workers) as executor:
+        parallel = _sharded_report(database, task, backend, executor)
     assert serial.results == parallel.results
 
 
@@ -156,52 +168,9 @@ def test_periodicities_bit_identical(database, backend, workers):
         min_match=0.75,
     )
     serial = TemporalMiner(database, counting=backend).periodicities(task)
-    with TemporalMiner(database, counting=backend, workers=workers) as miner:
-        parallel = miner.periodicities(task)
+    with ShardedExecutor(workers) as executor:
+        parallel = _sharded_report(database, task, backend, executor)
     assert serial.results == parallel.results
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", (2, 3))
-def test_interleaved_cyclic_bit_identical(database, backend, workers):
-    task = PeriodicityTask(
-        granularity=Granularity.DAY,
-        thresholds=RuleThresholds(min_support=0.12, min_confidence=0.4),
-        max_period=7,
-        min_repetitions=2,
-        min_match=1.0,
-    )
-    serial = TemporalMiner(database, counting=backend).periodicities(
-        task, interleaved=True
-    )
-    with TemporalMiner(database, counting=backend, workers=workers) as miner:
-        parallel = miner.periodicities(task, interleaved=True)
-    assert serial.results == parallel.results
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", (2, 4))
-def test_constrained_rules_bit_identical(database, backend, workers):
-    start, end = database.time_span()
-    task = ConstrainedTask(
-        feature=TimeInterval(start, start + (end - start) / 2),
-        thresholds=RuleThresholds(min_support=0.1, min_confidence=0.4),
-    )
-    serial = TemporalMiner(database, counting=backend).with_feature(task)
-    with TemporalMiner(database, counting=backend, workers=workers) as miner:
-        parallel = miner.with_feature(task)
-    assert serial.results == parallel.results
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_apriori_count_distribution_bit_identical(database, backend):
-    options = AprioriOptions(counting=backend)
-    serial = apriori(database, 0.1, options=options)
-    with ShardedExecutor(3) as executor:
-        parallel = apriori(database, 0.1, options=options, executor=executor)
-        assert not executor.degraded
-    assert serial.as_dict() == parallel.as_dict()
-    assert serial.n_transactions == parallel.n_transactions
 
 
 # ----------------------------------------------------------------------
@@ -211,10 +180,8 @@ def test_apriori_count_distribution_bit_identical(database, backend):
 
 @pytest.fixture
 def no_plan_env(monkeypatch):
-    """The differential must compare the real planner, not a host pin."""
+    """The differential must compare the real planner, not an env pin."""
     monkeypatch.delenv("REPRO_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_PLAN_CPUS", raising=False)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -228,11 +195,11 @@ def test_planned_equals_pinned_valid_periods(
         min_frequency=0.8,
         min_coverage=2,
     )
-    with TemporalMiner(database) as miner:  # planner picks backend + workers
-        planned = miner.valid_periods(task)
-    with TemporalMiner(database, counting=backend, workers=workers) as miner:
-        pinned = miner.valid_periods(task)
-    assert planned.results == pinned.results
+    planned = TemporalMiner(database).valid_periods(task)  # planner picks
+    pinned = TemporalMiner(database, counting=backend).valid_periods(task)
+    with ShardedExecutor(workers) as executor:
+        sharded = _sharded_report(database, task, backend, executor)
+    assert planned.results == pinned.results == sharded.results
     assert planned.plan is not None and not planned.plan["backend_pinned"]
     assert pinned.plan is not None and pinned.plan["backend_pinned"]
 
@@ -246,10 +213,8 @@ def test_planned_equals_pinned_periodicities(database, backend, no_plan_env):
         min_repetitions=2,
         min_match=0.75,
     )
-    with TemporalMiner(database) as miner:
-        planned = miner.periodicities(task)
-    with TemporalMiner(database, counting=backend, workers=3) as miner:
-        pinned = miner.periodicities(task)
+    planned = TemporalMiner(database).periodicities(task)
+    pinned = TemporalMiner(database, counting=backend).periodicities(task)
     assert planned.results == pinned.results
 
 
@@ -260,10 +225,8 @@ def test_planned_equals_pinned_constrained(database, backend, no_plan_env):
         feature=TimeInterval(start, start + (end - start) / 2),
         thresholds=RuleThresholds(min_support=0.1, min_confidence=0.4),
     )
-    with TemporalMiner(database) as miner:
-        planned = miner.with_feature(task)
-    with TemporalMiner(database, counting=backend, workers=2) as miner:
-        pinned = miner.with_feature(task)
+    planned = TemporalMiner(database).with_feature(task)
+    pinned = TemporalMiner(database, counting=backend).with_feature(task)
     assert planned.results == pinned.results
 
 
@@ -275,9 +238,9 @@ def test_planned_equals_pinned_constrained(database, backend, no_plan_env):
 def test_executor_reused_across_granularities(database):
     task_day = ValidPeriodTask(granularity=Granularity.DAY, thresholds=_THRESHOLDS)
     task_week = ValidPeriodTask(granularity=Granularity.WEEK, thresholds=_THRESHOLDS)
-    with TemporalMiner(database, workers=2) as miner:
-        day = miner.valid_periods(task_day)
-        week = miner.valid_periods(task_week)
+    with ShardedExecutor(2) as executor:
+        day = _sharded_report(database, task_day, "auto", executor)
+        week = _sharded_report(database, task_week, "auto", executor)
     assert day.results == TemporalMiner(database).valid_periods(task_day).results
     assert week.results == TemporalMiner(database).valid_periods(task_week).results
 

@@ -13,5 +13,3 @@ import pytest
 @pytest.fixture(autouse=True)
 def _clear_planner_env(monkeypatch):
     monkeypatch.delenv("REPRO_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_PLAN_CPUS", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)

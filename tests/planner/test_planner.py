@@ -2,8 +2,7 @@
 
 Statistics, cost model, plan rendering and the ``plan_query`` decision
 procedure — plus the feedback loop (``record_observed`` →
-``calibration_factors``) and the environment pins (``REPRO_PLAN``,
-``REPRO_PLAN_CPUS``).
+``calibration_factors``) and the environment pin (``REPRO_PLAN``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.planner import (
     calibration_factors,
     compute_stats,
     estimate_workload,
-    pinned_plan,
     plan_query,
     record_observed,
     stats_of_encoded,
@@ -132,12 +130,12 @@ class TestCostModel:
 
 class TestPlanQuery:
     def test_small_store_plans_serial(self):
-        plan = plan_query(
-            _db(), SHAPE, metrics=MetricsRegistry(), cpu_count=8
-        )
-        assert plan.workers == 1
-        assert plan.n_shards == 1
-        assert not plan.backend_pinned and not plan.workers_pinned
+        plan = plan_query(_db(), SHAPE, metrics=MetricsRegistry())
+        assert not plan.backend_pinned
+        # Every run is serial: a plan carries no fan-out decision at all.
+        document = plan.to_dict()
+        for knob in ("workers", "n_shards", "workers_pinned", "est_serial_seconds"):
+            assert knob not in document
 
     @pytest.mark.parametrize("granularity", [Granularity.DAY, None])
     def test_empty_store_still_plans(self, granularity):
@@ -146,17 +144,16 @@ class TestPlanQuery:
             task="valid_periods", granularity=granularity, min_support=0.05
         )
         assert estimate_workload(empty, shape).pass_candidates >= 1
-        plan = plan_query(empty, shape, metrics=MetricsRegistry(), cpu_count=2)
-        assert (plan.workers, plan.n_shards) == (1, 1)
+        plan = plan_query(empty, shape, metrics=MetricsRegistry())
         assert all(cost.seconds >= 0 for cost in plan.costs)
         # ... and through the database front door, as EXPLAIN reaches it.
         assert plan_query(
-            TransactionDatabase(), shape, metrics=MetricsRegistry(), cpu_count=2
+            TransactionDatabase(), shape, metrics=MetricsRegistry()
         ).backend == plan.backend
 
     def test_cheapest_backend_wins(self):
         registry = MetricsRegistry()
-        plan = plan_query(BIG_STATS, SHAPE, metrics=registry, cpu_count=4)
+        plan = plan_query(BIG_STATS, SHAPE, metrics=registry)
         cheapest = min(
             plan.costs, key=lambda c: (c.calibrated_seconds, c.backend)
         )
@@ -167,12 +164,9 @@ class TestPlanQuery:
             BIG_STATS,
             SHAPE,
             pin_backend="dict",
-            pin_workers=2,
             metrics=MetricsRegistry(),
-            cpu_count=8,
         )
         assert plan.backend == "dict" and plan.backend_pinned
-        assert plan.workers == 2 and plan.workers_pinned
 
     def test_unknown_pin_rejected(self):
         with pytest.raises(MiningParameterError, match="unknown counting backend"):
@@ -180,27 +174,22 @@ class TestPlanQuery:
 
     def test_env_pin(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN", "hashtree")
-        plan = plan_query(_db(), SHAPE, metrics=MetricsRegistry(), cpu_count=2)
+        plan = plan_query(_db(), SHAPE, metrics=MetricsRegistry())
         assert plan.backend == "hashtree" and plan.backend_pinned
         assert any("REPRO_PLAN" in reason for reason in plan.reasons)
 
     def test_malformed_env_pin_warns_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN", "btree")
         with pytest.warns(RuntimeWarning, match="REPRO_PLAN"):
-            plan = plan_query(_db(), SHAPE, metrics=MetricsRegistry(), cpu_count=2)
+            plan = plan_query(_db(), SHAPE, metrics=MetricsRegistry())
         assert not plan.backend_pinned
 
     def test_explicit_pin_beats_env_pin(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN", "hashtree")
         plan = plan_query(
-            _db(), SHAPE, pin_backend="dict", metrics=MetricsRegistry(), cpu_count=2
+            _db(), SHAPE, pin_backend="dict", metrics=MetricsRegistry()
         )
         assert plan.backend == "dict"
-
-    def test_cpus_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CPUS", "1")
-        plan = plan_query(BIG_STATS, SHAPE, metrics=MetricsRegistry())
-        assert plan.workers == 1  # a 1-CPU host never forks
 
     def test_cache_policy_follows_shape(self):
         cacheable = StatementShape(
@@ -215,23 +204,21 @@ class TestPlanQuery:
 
     def test_decision_counter_increments(self):
         registry = MetricsRegistry()
-        plan = plan_query(_db(), SHAPE, metrics=registry, cpu_count=2)
+        plan = plan_query(_db(), SHAPE, metrics=registry)
         counter = registry.counter(
             "repro_planner_decisions_total",
-            "Query plans emitted, by chosen backend and worker count.",
-            labelnames=("backend", "workers"),
+            "Query plans emitted, by chosen backend.",
+            labelnames=("backend",),
         )
-        assert counter.value(backend=plan.backend, workers=str(plan.workers)) == 1
+        assert counter.value(backend=plan.backend) == 1
 
 
 class TestPlanRendering:
     def test_describe_rows_cover_every_knob(self):
-        plan = plan_query(BIG_STATS, SHAPE, metrics=MetricsRegistry(), cpu_count=4)
+        plan = plan_query(BIG_STATS, SHAPE, metrics=MetricsRegistry())
         names = [name for name, _ in plan.describe_rows()]
         for expected in (
             "plan: backend",
-            "plan: workers",
-            "plan: shards",
             "plan: cache",
             "plan: est cost",
             "plan: backend costs",
@@ -244,26 +231,16 @@ class TestPlanRendering:
             _db(),
             SHAPE,
             pin_backend="vertical",
-            pin_workers=1,
             metrics=MetricsRegistry(),
-            cpu_count=2,
         )
         rows = dict(plan.describe_rows())
         assert rows["plan: backend"] == "vertical (pinned)"
-        assert rows["plan: workers"] == "1 (pinned)"
 
     def test_to_dict_json_round_trip(self):
-        plan = plan_query(BIG_STATS, SHAPE, metrics=MetricsRegistry(), cpu_count=4)
+        plan = plan_query(BIG_STATS, SHAPE, metrics=MetricsRegistry())
         document = plan.to_dict()
         assert json.loads(json.dumps(document)) == document
         assert set(document["costs"]) == set(COSTED_BACKENDS)
-
-    def test_pinned_plan_helper(self):
-        plan = plan_query(BIG_STATS, SHAPE, metrics=MetricsRegistry(), cpu_count=4)
-        forced = pinned_plan("dict", 2, plan)
-        assert forced.backend == "dict" and forced.backend_pinned
-        assert forced.workers == 2 and forced.workers_pinned
-
 
 class TestCalibration:
     def test_fresh_registry_has_no_factors(self):
@@ -271,7 +248,7 @@ class TestCalibration:
 
     def test_observed_runs_produce_clamped_factors(self):
         registry = MetricsRegistry()
-        plan = plan_query(BIG_STATS, SHAPE, metrics=registry, cpu_count=1)
+        plan = plan_query(BIG_STATS, SHAPE, metrics=registry)
         record_observed(plan, plan.est_seconds * 2.0, metrics=registry)
         factors = calibration_factors(registry)
         assert factors[plan.backend] == pytest.approx(2.0, rel=1e-6)
@@ -281,32 +258,31 @@ class TestCalibration:
 
     def test_instant_runs_ignored(self):
         registry = MetricsRegistry()
-        plan = plan_query(BIG_STATS, SHAPE, metrics=registry, cpu_count=1)
+        plan = plan_query(BIG_STATS, SHAPE, metrics=registry)
         record_observed(plan, 0.0, metrics=registry)
         assert calibration_factors(registry) == {}
 
     def test_calibration_can_flip_the_decision(self):
         registry = MetricsRegistry()
-        baseline = plan_query(BIG_STATS, SHAPE, metrics=registry, cpu_count=1)
+        baseline = plan_query(BIG_STATS, SHAPE, metrics=registry)
         # Report the chosen backend as persistently 5x slower than
         # modelled; with every rival unchanged the planner must defect.
         for _ in range(3):
             record_observed(
                 baseline, baseline.est_seconds * 100.0, metrics=registry
             )
-        recalibrated = plan_query(BIG_STATS, SHAPE, metrics=registry, cpu_count=1)
+        recalibrated = plan_query(BIG_STATS, SHAPE, metrics=registry)
         assert recalibrated.backend != baseline.backend
 
 
 class TestBenchShapes:
     """The regression benchmark's library round, as the planner sees it.
 
-    Its stores are small and its kernel passes cost milliseconds, so a
-    fork could only lose; the cost model must keep saying so on the
-    2-CPU boxes the benchmark runs on.
+    Its stores are small and its kernel passes cost milliseconds; the
+    cost model must pick the packed kernel for every statement.
     """
 
-    def test_library_round_plans_serial_packed_on_two_cpus(self, monkeypatch):
+    def test_library_round_plans_serial_packed_on_two_cpus(self):
         from repro.datagen import QuestConfig, generate_baskets, periodic_dataset
         from repro.mining import (
             ConstrainedTask,
@@ -317,7 +293,6 @@ class TestBenchShapes:
         )
         from repro.temporal import CyclicPeriodicity
 
-        monkeypatch.setenv("REPRO_PLAN_CPUS", "2")
         start = datetime(2025, 1, 1)
         quest = TransactionDatabase()
         baskets = generate_baskets(
@@ -361,10 +336,8 @@ class TestBenchShapes:
         ]
         for database, task in statements:
             plan = TemporalMiner(database, metrics=MetricsRegistry()).plan_for(task)
-            assert (plan.backend, plan.workers, plan.n_shards) == ("packed", 1, 1)
-            # Only the kernel's share of the estimate would shard.
-            chosen = next(c for c in plan.costs if c.backend == plan.backend)
-            assert 0 < chosen.counting_seconds <= chosen.seconds
+            assert plan.backend == "packed"
+            assert plan.est_seconds > 0
 
     def test_bitmap_backends_share_one_per_unit_cost(self):
         costs = {c.backend: c for c in backend_costs(BIG_STATS, SHAPE, {})}

@@ -73,7 +73,6 @@ def test_dirty_units_exactly_cover_touched_units(workload):
     touched = {unit_index(stamp, Granularity.DAY) for stamp, _ in batch}
     assert context.dirty_units() == frozenset(touched)
     assert context.dirty_unit_count() == len(touched)
-    miner.close()
 
 
 @given(seeded_workload(), seeded_workload())
@@ -88,7 +87,6 @@ def test_dirty_units_accumulate_as_a_union(workload, other):
     touched = {unit_index(stamp, Granularity.DAY) for stamp, _ in batch}
     touched |= {unit_index(stamp, Granularity.DAY) for stamp, _ in batch2}
     assert context.dirty_units() == frozenset(touched)
-    miner.close()
 
 
 @given(seeded_workload())
@@ -114,7 +112,6 @@ def test_spliced_counts_equal_counts_from_scratch(workload):
     scratch_pairs = scratch.count_candidates_per_unit(pairs)
     for candidate in pairs:
         assert np.array_equal(warm_pairs[candidate], scratch_pairs[candidate])
-    miner.close()
 
 
 @given(seeded_workload())
@@ -128,7 +125,6 @@ def test_empty_batch_is_a_noop(workload):
     assert len(db) == n_before
     assert miner.context(Granularity.DAY) is before  # not even rebased
     assert before.dirty_unit_count() == 0
-    miner.close()
 
 
 @given(seeded_workload())
@@ -143,15 +139,13 @@ def test_auto_never_changes_results_vs_off(workload):
             fresh.add(stamp, items)
         return fresh
 
-    with TemporalMiner(rebuild(), incremental="auto") as auto_miner:
-        auto_miner.valid_periods(_TASK)
-        auto_miner.apply_append(batch)
-        auto = auto_miner.valid_periods(_TASK)
-    with TemporalMiner(rebuild(), incremental="off") as off_miner:
-        off_miner.valid_periods(_TASK)
-        off_miner.apply_append(batch)
-        off = off_miner.valid_periods(_TASK)
-    assert auto.results == off.results
+    reports = {}
+    for mode in ("auto", "off"):
+        miner = TemporalMiner(rebuild(), incremental=mode)
+        miner.valid_periods(_TASK)
+        miner.apply_append(batch)
+        reports[mode] = miner.valid_periods(_TASK)
+    assert reports["auto"].results == reports["off"].results
 
 
 @given(seeded_workload())
@@ -164,4 +158,3 @@ def test_rebased_context_reports_consistent_fraction(workload):
     fraction = context.dirty_fraction()
     assert 0.0 <= fraction <= 1.0
     assert fraction == context.dirty_unit_count() / context.n_units
-    miner.close()

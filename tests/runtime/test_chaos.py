@@ -14,6 +14,7 @@ import pytest
 
 from repro.db.sqlite_store import SqliteStore
 from repro.errors import BudgetExceededError, TransientDatabaseError
+from repro.mining.context import TemporalContext, per_unit_frequent_itemsets
 from repro.mining.engine import TemporalMiner
 from repro.mining.tasks import PeriodicityTask, RuleThresholds, ValidPeriodTask
 from repro.mining.valid_periods import discover_valid_periods
@@ -256,23 +257,38 @@ class TestSessionBudget:
 class TestWorkerChaos:
     """Injected worker failures against the sharded executor.
 
-    Each test runs a real parallel mining pass with a
-    :class:`WorkerFaultPlan` wired into the executor, so the fault fires
-    inside an actual worker process.  The contract: the pool degrades to
-    serial with a diagnostic, the run still finishes with output equal
-    to the plain serial path, and nothing hangs.
+    Each test runs a real parallel counting pass of
+    :func:`per_unit_frequent_itemsets` with a :class:`WorkerFaultPlan`
+    wired into the executor, so the fault fires inside an actual worker
+    process.  The contract: the pool degrades to serial with a
+    diagnostic, the run still finishes with output equal to the plain
+    serial path, and nothing hangs.
     """
 
     def _serial(self, db):
         return discover_valid_periods(db, _task())
 
+    def _sharded(self, db, executor, monitor=None):
+        """Task 1 over counts the executor produced (rules from its passes)."""
+        task = _task()
+        context = TemporalContext(db, task.granularity)
+        counts = per_unit_frequent_itemsets(
+            context,
+            task.thresholds.min_support,
+            min_units=task.min_valid_units,
+            max_size=task.max_rule_size,
+            monitor=monitor,
+            executor=executor,
+        )
+        return discover_valid_periods(
+            db, task, context=context, counts=counts, monitor=monitor
+        )
+
     def test_counting_error_degrades_with_diagnostic(self, random_db):
         serial = self._serial(random_db)
         with ShardedExecutor(3, fault_plan=WorkerFaultPlan.first(1)) as executor:
             with pytest.warns(RuntimeWarning, match="degraded to serial"):
-                report = discover_valid_periods(
-                    random_db, _task(), executor=executor
-                )
+                report = self._sharded(random_db, executor)
             assert executor.degraded
             assert "injected worker fault" in executor.degraded_reason
             assert executor.degraded_reason.startswith("RuntimeError")
@@ -283,9 +299,7 @@ class TestWorkerChaos:
         plan = WorkerFaultPlan.first(1, kind="kill")
         with ShardedExecutor(3, fault_plan=plan) as executor:
             with pytest.warns(RuntimeWarning, match="degraded to serial"):
-                report = discover_valid_periods(
-                    random_db, _task(), executor=executor
-                )
+                report = self._sharded(random_db, executor)
             assert executor.degraded
             assert executor.degraded_reason.startswith("BrokenProcessPool")
         assert report.results == serial.results
@@ -294,21 +308,21 @@ class TestWorkerChaos:
         serial = self._serial(random_db)
         with ShardedExecutor(2, fault_plan=WorkerFaultPlan.first(1)) as executor:
             with pytest.warns(RuntimeWarning):
-                discover_valid_periods(random_db, _task(), executor=executor)
+                self._sharded(random_db, executor)
             assert not executor.effective()
             # The next run reuses the degraded executor: pure serial,
             # no new warning, same answer — the session stays usable.
-            again = discover_valid_periods(random_db, _task(), executor=executor)
+            again = self._sharded(random_db, executor)
         assert again.results == serial.results
 
     def test_miner_facade_survives_worker_fault(self, random_db):
+        # A fault in a later shard (not the first) of a mid-run pass.
         serial = TemporalMiner(random_db).valid_periods(_task())
-        with TemporalMiner(random_db, workers=3) as miner:
-            miner._executor = ShardedExecutor(
-                3, fault_plan=WorkerFaultPlan.first(2)
-            )
+        plan = WorkerFaultPlan.first(2)
+        with ShardedExecutor(3, fault_plan=plan) as executor:
             with pytest.warns(RuntimeWarning, match="degraded to serial"):
-                report = miner.valid_periods(_task())
+                report = self._sharded(random_db, executor)
+            assert executor.degraded
         assert report.results == serial.results
 
     def test_budget_interrupts_parallel_run_soundly(self, random_db):
@@ -319,11 +333,8 @@ class TestWorkerChaos:
             random_db, task, monitor=RunMonitor(budget=budget)
         )
         with ShardedExecutor(3) as executor:
-            parallel_partial = discover_valid_periods(
-                random_db,
-                task,
-                monitor=RunMonitor(budget=budget),
-                executor=executor,
+            parallel_partial = self._sharded(
+                random_db, executor, monitor=RunMonitor(budget=budget)
             )
             assert not executor.degraded
         assert parallel_partial.partial

@@ -104,14 +104,11 @@ class TestAcceptanceE2E:
         with SqliteStore(":memory:") as store:
             store.save_database(seasonal_data.database)
             environment = ExecutionEnvironment(store=store)
-            try:
-                execution = TmlExecutor(environment).execute(MINE_QUERY)
-                expected = payload_to_dict(
-                    execution.payload,
-                    environment.resolve("transactions").catalog,
-                )
-            finally:
-                environment.close()
+            execution = TmlExecutor(environment).execute(MINE_QUERY)
+            expected = payload_to_dict(
+                execution.payload,
+                environment.resolve("transactions").catalog,
+            )
         assert a["result"] == expected
 
         # Mutation invalidates: the next identical query re-mines.

@@ -211,7 +211,8 @@ class TestDistributedTracing:
         assert attrs["peak_rss_kb"] > 0
         assert attrs["cache"] == "bypassed"
         assert attrs["wait_seconds"] >= 0.0
-        assert "plan_backend" in attrs and "shards" in attrs
+        assert "plan_backend" in attrs and "planner_est_seconds" in attrs
+        assert "plan_workers" not in attrs and "shards" not in attrs
 
     def test_job_record_carries_resources(self, served):
         _, _, client = served

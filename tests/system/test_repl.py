@@ -39,6 +39,14 @@ class TestDotCommands:
     def test_load_usage(self):
         assert "usage" in drive(".load onlyname\n.quit\n")
 
+    def test_load_missing_file_reports_error(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        output = drive(f".load x {missing}\n.datasets\n.quit\n")
+        assert "error:" in output and "missing.csv" in output
+        # The session survived the OS error and kept reading commands.
+        assert "no datasets" in output
+        assert output.endswith("bye\n")
+
     def test_engine_shows_current_and_available(self):
         output = drive(".engine\n.quit\n")
         assert "engine: auto" in output
@@ -159,6 +167,22 @@ class TestExportCommand:
     def test_export_usage(self):
         assert "usage" in drive(".export\n.quit\n")
 
+    def test_export_to_missing_directory_reports_error(self, seasonal_data, tmp_path):
+        session = IqmsSession()
+        session.load_database("sales", seasonal_data.database)
+        out = tmp_path / "absent" / "report.csv"
+        output = drive(
+            "MINE PERIODS FROM sales AT GRANULARITY month "
+            "WITH SUPPORT >= 0.25, CONFIDENCE >= 0.6 HAVING SIZE <= 2;\n"
+            f".export {out}\n"
+            ".table\n"
+            ".quit\n",
+            session=session,
+        )
+        assert "error:" in output and "absent" in output
+        assert "season0_a" in output.split("error:")[1]  # .table still ran
+        assert output.endswith("bye\n")
+
 
 class TestServe:
     def test_serve_and_stop(self):
@@ -172,6 +196,13 @@ class TestServe:
 
     def test_serve_usage(self):
         assert "usage" in drive(".serve not-a-port\n.quit\n")
+
+    def test_serve_port_out_of_range_shows_usage(self):
+        session = IqmsSession()
+        output = drive(".serve 70000\n.serve stop\n.quit\n", session=session)
+        assert "usage: .serve" in output
+        assert "not serving" in output
+        assert session.serving_url is None
 
     def test_serve_answers_http(self, seasonal_data):
         import json

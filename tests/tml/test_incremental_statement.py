@@ -100,7 +100,6 @@ class TestExecute:
             executor = TmlExecutor(environment)
             executor.execute(f"SET INCREMENTAL {mode.upper()};")
             outputs[mode] = executor.execute(query).payload.results
-            environment.close()
         assert outputs["off"] == outputs["on"] == outputs["auto"]
 
 

@@ -143,9 +143,7 @@ def test_folded_environment_equals_cold_load(mode, base, batches):
         for control in controls:
             for statement in (PERIODS, RULES_DURING):
                 assert _payload(environment, statement) == _payload(control, statement)
-            control.close()
     finally:
-        environment.close()
         store.close()
 
 
@@ -260,8 +258,7 @@ def test_explain_is_the_same_before_and_after_a_mine(monkeypatch):
     statement; with the run's calibration feedback dropped, only the
     statistics could tell them apart — and they must not.
     """
-    monkeypatch.setenv("REPRO_PLAN_CPUS", "4")
-    for name in ("REPRO_PLAN", "REPRO_WORKERS", "REPRO_INCREMENTAL"):
+    for name in ("REPRO_PLAN", "REPRO_INCREMENTAL"):
         monkeypatch.delenv(name, raising=False)
     database = TransactionDatabase()  # id-only: the catalog stays empty
     for n in range(200):
@@ -275,14 +272,11 @@ def test_explain_is_the_same_before_and_after_a_mine(monkeypatch):
         environment = ExecutionEnvironment(metrics=MetricsRegistry())
         environment.register("ids", database)
         executor = TmlExecutor(environment)
-        try:
-            if mined_first:
-                executor.execute(statement)
-                environment.miner("ids").metrics = MetricsRegistry()
-            rows[mined_first] = executor.execute("EXPLAIN " + statement).payload.rows
-            assert environment.miner("ids").stats().n_items == 8
-        finally:
-            environment.close()
+        if mined_first:
+            executor.execute(statement)
+            environment.miner("ids").metrics = MetricsRegistry()
+        rows[mined_first] = executor.execute("EXPLAIN " + statement).payload.rows
+        assert environment.miner("ids").stats().n_items == 8
     assert rows[False] == rows[True]
 
 
