@@ -82,7 +82,7 @@ class WorkerConfig:
         run_dir: directory for port files (journals/cache sit next to
             the store by default).
         threads: scheduler worker threads per process.
-        engine: counting backend (``auto`` lets the planner pick).
+        engine: counting backend (``auto`` is the ``packed`` kernel).
         shared_cache_path: the fleet-shared disk cache tier file
             (default ``<db>.cluster.cache``).
         extra_args: appended verbatim to each worker's command line.

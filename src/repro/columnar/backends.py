@@ -254,7 +254,7 @@ def validate_backend_name(name: str) -> str:
     """``name`` if it is ``"auto"`` or a registered backend; raises otherwise.
 
     The single validator behind every surface that accepts a backend
-    name (miner arguments, ``SET ENGINE``, ``REPRO_PLAN``, planner pins).
+    name (miner arguments, ``SET ENGINE``, planner pins).
     """
     if name != "auto" and name not in _REGISTRY:
         known = ", ".join(["auto"] + available_backends())
@@ -269,16 +269,11 @@ def get_backend(name: str) -> CountingBackend:
     return _REGISTRY[AUTO_BACKEND if validate_backend_name(name) == "auto" else name]
 
 
-def resolve_backend(
-    strategy: str, n_candidates: int = 0, k: int = 0
-) -> CountingBackend:
+def resolve_backend(strategy: str) -> CountingBackend:
     """Resolve a strategy name for one counting pass and record the dispatch.
 
     Call it once per pass, in the process whose metrics get scraped;
     shard workers receive the resolved name and use :func:`get_backend`.
-    ``n_candidates`` and ``k`` (the pass shape the old heuristic keyed
-    on) are still accepted and never influence the choice: ``"auto"`` is
-    the same kernel for every pass.
     """
     backend = get_backend(strategy)
     default_registry().counter(

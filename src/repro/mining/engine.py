@@ -164,7 +164,7 @@ class TemporalMiner:
         )
         #: A library caller's database, which appends keep in step.
         self._source = None if isinstance(database, EncodedDatabase) else database
-        self.counting = counting
+        self.counting = validate_backend_name(counting)
         self.metrics = metrics
         self.trace = trace
         self._contexts: Dict[Granularity, TemporalContext] = {}
@@ -332,7 +332,7 @@ class TemporalMiner:
         """Resolve the execution plan one task would run under *now*.
 
         An explicit ``counting=``/``set_counting`` setting becomes a pin;
-        left on AUTO, the cost model picks the backend.  ``EXPLAIN``
+        left on AUTO, the plan runs the ``packed`` kernel.  ``EXPLAIN``
         calls this without mining.
         """
         return plan_query(
@@ -380,8 +380,8 @@ class TemporalMiner:
     ) -> MiningReport:
         """Attach the plan, refresh decision and run trace to the report.
 
-        Also feeds the observed wall time back into the planner's
-        calibration counters, so later plans correct for model bias.
+        Also counts the observed wall time next to the plan's estimate
+        (``repro_planner_*_seconds_total``).
         """
         if plan is not None:
             record_observed(plan, report.elapsed_seconds, self.metrics)

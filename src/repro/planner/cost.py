@@ -1,30 +1,23 @@
-"""The planner's cost model.
+"""The planner's wall-time estimate.
 
 Everything here is a *deterministic* function of :class:`StoreStats` and
 :class:`StatementShape` — the same stats and shape always produce the
-same estimates, which is what makes ``EXPLAIN`` output snapshotable.
+same estimate, which is what makes ``EXPLAIN`` output snapshotable.
 The absolute numbers are rough (constants were fitted against the
-``python -m bench`` library workload, not derived), but only the
-*ordering* of backends matters for planning; observed-timing calibration (:mod:`repro.planner.planner`)
-corrects persistent model bias at runtime.
+``python -m bench`` library workload, not derived); the estimate feeds
+``EXPLAIN``, job records and the flight recorder, never a choice.
 
 An estimate has two parts.  The *counting* cost follows the shape of
-the kernels:
+the bitmap kernel (the ``packed`` kernel AUTO runs, which ``vertical``
+shares): a per-unit statement is counted by one segmented call per
+pass over one unit-aligned index — an index build over the store's
+occurrences, ``candidates x total words`` AND+popcount lanes, and a
+per-pass floor; a unitless statement (one Apriori over one segment)
+pays the same terms over that segment alone.
 
-* the horizontal backends (``dict``, ``hashtree``) pay per transaction
-  and per enumerated subset, once per time unit — they are counted by a
-  loop over the units;
-* the bitmap backends (``vertical``, ``packed``) count a per-unit
-  statement with one segmented call per pass over one unit-aligned
-  index, the same for both: an index build over the store's
-  occurrences, ``candidates x total words`` AND+popcount lanes, and a
-  per-pass floor.  Only on unitless statements (one Apriori over one
-  segment) do they differ: ``vertical`` pays a *per-prefix-group*
-  Python overhead, ``packed`` roughly double the word lanes.
-
-The *mining* cost is what every backend pays around the kernel —
-candidate generation, thresholding and rule evaluation, all Python —
-and is proportional to the locally frequent (itemset, unit) cells.
+The *mining* cost is the Python around the kernel — candidate
+generation, thresholding and rule evaluation — and is proportional to
+the locally frequent (itemset, unit) cells.
 
 Candidate volume is estimated from a Zipf-flavoured frequent-item count:
 under a 1/rank popularity law an item of rank *r* appears in about
@@ -35,22 +28,16 @@ under a 1/rank popularity law an item of rank *r* appears in about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.planner.stats import StoreStats
 from repro.temporal.granularity import Granularity
 
-#: Backends the model knows how to score, in presentation order.
-COSTED_BACKENDS: Tuple[str, ...] = ("dict", "hashtree", "vertical", "packed")
-
 # Fitted primitive costs (seconds per operation), CPython + numpy.
-_W_DICT = 150e-9  # one subset lookup in the candidate dict
-_W_HASH = 260e-9  # one hash-tree node visit per (transaction, item)
 _W_BUILD = 25e-9  # one occurrence inserted into the bitmap index
 _W_WORD = 1.2e-9  # one uint64 AND+popcount lane
-_W_CAND = 110e-9  # per-candidate Python (zip/dict store), whole-segment bitmap kernels
-_W_GROUP = 5.0e-6  # per prefix-group Python overhead (vertical only)
+_W_CAND = 110e-9  # per-candidate Python (zip/dict store), whole-segment kernel
 _W_CELL = 4.5e-7  # mining Python per locally frequent (itemset, unit) cell
 _PASS_FLOOR = 30e-6  # fixed per-pass dispatch overhead
 
@@ -78,7 +65,7 @@ class StatementShape:
 
 @dataclass(frozen=True)
 class WorkloadEstimate:
-    """Derived per-unit workload figures shared by all backend models."""
+    """Derived per-unit workload figures the estimate is made from."""
 
     n_units: int
     unit_transactions: float
@@ -87,20 +74,6 @@ class WorkloadEstimate:
     est_candidates: int  # total candidates across passes, per unit
     words_per_unit: float  # uint64 words per bitmap row
     pass_candidates: int  # total candidates across passes, store-wide
-
-
-@dataclass(frozen=True)
-class BackendCost:
-    """One backend's estimated cost for the whole statement."""
-
-    backend: str
-    seconds: float
-    detail: str = ""
-    calibration: float = field(default=1.0, compare=False)
-
-    @property
-    def calibrated_seconds(self) -> float:
-        return self.seconds * self.calibration
 
 
 def estimate_workload(stats: StoreStats, shape: StatementShape) -> WorkloadEstimate:
@@ -143,83 +116,24 @@ def estimate_workload(stats: StoreStats, shape: StatementShape) -> WorkloadEstim
     )
 
 
-def _unit_cost(backend: str, load: WorkloadEstimate, shape: StatementShape) -> float:
-    """Estimated seconds to count one unit's passes on ``backend``."""
-    tx = load.unit_transactions
-    basket = load.avg_basket
-    candidates = load.est_candidates
-    words = load.words_per_unit
-    build = tx * basket * _W_BUILD
-    if backend == "dict":
-        subsets = basket + basket * basket / 2.0
-        return tx * subsets * _W_DICT + shape.passes * _PASS_FLOOR
-    if backend == "hashtree":
-        depth = 1.0 + math.log2(1.0 + candidates)
-        return tx * basket * depth * _W_HASH + shape.passes * _PASS_FLOOR
-    if backend == "vertical":
-        groups = load.est_frequent_items * 1.3 + 1.0
-        return (
-            build
-            + candidates * (_W_CAND + words * _W_WORD)
-            + groups * _W_GROUP
-            + shape.passes * _PASS_FLOOR
-        )
-    if backend == "packed":
-        # All k columns intersected (~2x the word lanes of vertical's
-        # shared-prefix walk) but zero per-group Python overhead.
-        return (
-            build
-            + candidates * (_W_CAND + 2.0 * words * _W_WORD)
-            + shape.passes * _PASS_FLOOR
-        )
-    raise ValueError(f"no cost model for backend {backend!r}")
-
-
-def _segmented_cost(
-    stats: StoreStats, load: WorkloadEstimate, shape: StatementShape
-) -> Tuple[float, str]:
-    """Seconds (and their breakdown) of the segmented bitmap kernel.
-
-    One call per pass counts every candidate in every unit, so nothing
-    here is multiplied by the unit count except the index width: each
-    non-empty unit starts on a fresh word.
-    """
-    total_words = load.n_units * load.words_per_unit
-    build = stats.n_occurrences * _W_BUILD
-    lanes = load.pass_candidates * total_words * _W_WORD
-    floor = shape.passes * _PASS_FLOOR
-    detail = (
-        f"index {build:.2e}s + {load.pass_candidates} candidates x "
-        f"{total_words:.0f} words {lanes:.2e}s + {shape.passes} passes {floor:.2e}s"
-    )
-    return build + lanes + floor, detail
-
-
-def backend_costs(
-    stats: StoreStats,
-    shape: StatementShape,
-    calibrations: Optional[Dict[str, float]] = None,
-) -> Tuple[BackendCost, ...]:
-    """Estimated cost of every modelled backend, model order."""
+def estimate_seconds(stats: StoreStats, shape: StatementShape) -> float:
+    """Estimated wall seconds of one statement on the bitmap kernel."""
     load = estimate_workload(stats, shape)
-    # The Python around the kernel, the same whichever backend counts.
+    floor = shape.passes * _PASS_FLOOR
+    if shape.granularity is None:
+        # One Apriori over one segment: an index build, then every
+        # candidate's columns ANDed in whole blocks.
+        build = load.unit_transactions * load.avg_basket * _W_BUILD
+        lanes = _W_CAND + 2.0 * load.words_per_unit * _W_WORD
+        counting = build + load.est_candidates * lanes + floor
+    else:
+        # One segmented call per pass counts every candidate in every
+        # unit, so only the index width grows with the unit count: each
+        # non-empty unit starts on a fresh word.
+        total_words = load.n_units * load.words_per_unit
+        build = stats.n_occurrences * _W_BUILD
+        counting = build + load.pass_candidates * total_words * _W_WORD + floor
+    # The Python around the kernel: candidate generation, thresholding
+    # and rule evaluation.
     mining = load.est_candidates * load.n_units * _W_CELL
-    segmented = shape.granularity is not None
-    results = []
-    for backend in COSTED_BACKENDS:
-        if segmented and backend in ("vertical", "packed"):
-            counting, detail = _segmented_cost(stats, load, shape)
-        else:
-            unit = _unit_cost(backend, load, shape)
-            counting = load.n_units * unit
-            detail = f"{load.n_units} units x {unit:.2e}s/unit"
-        results.append(
-            BackendCost(
-                backend=backend,
-                seconds=counting + mining,
-                detail=f"{detail} + mining {mining:.2e}s",
-                calibration=(calibrations or {}).get(backend, 1.0),
-            )
-        )
-    return tuple(results)
-
+    return counting + mining

@@ -5,8 +5,8 @@ old knobs directly: the miner takes ``backend`` from it, the service
 records it on the job,
 ``EXPLAIN`` renders :meth:`QueryPlan.describe_rows`, and traces/metrics
 carry :meth:`QueryPlan.to_dict`.  Plans are frozen and fully determined
-by (stats, shape, pins, calibration), so planner behaviour is
-golden-snapshot testable.
+by (stats, shape, pin), so planner behaviour is golden-snapshot
+testable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.planner.cost import BackendCost, StatementShape, WorkloadEstimate
+from repro.planner.cost import StatementShape, WorkloadEstimate
 from repro.planner.stats import StoreStats
 
 
@@ -30,8 +30,7 @@ class QueryPlan:
     backend: str
     cache_policy: str  # "reuse" | "bypass"
     backend_pinned: bool
-    est_seconds: float  # estimated wall seconds on the chosen backend
-    costs: Tuple[BackendCost, ...]
+    est_seconds: float  # estimated wall seconds (0.0 for a horizontal pin)
     workload: WorkloadEstimate
     stats: StoreStats
     shape: StatementShape
@@ -41,13 +40,6 @@ class QueryPlan:
     # rendering
     # ------------------------------------------------------------------
 
-    def cost_summary(self) -> str:
-        """One line of per-backend estimates, model order."""
-        return "  ".join(
-            f"{cost.backend}={_fmt_seconds(cost.calibrated_seconds)}"
-            for cost in self.costs
-        )
-
     def describe_rows(self) -> List[Tuple[str, str]]:
         """(property, value) rows for ``EXPLAIN``-style tabular output."""
         pin = lambda flag: " (pinned)" if flag else ""  # noqa: E731
@@ -55,7 +47,6 @@ class QueryPlan:
             ("plan: backend", f"{self.backend}{pin(self.backend_pinned)}"),
             ("plan: cache", self.cache_policy),
             ("plan: est cost", _fmt_seconds(self.est_seconds)),
-            ("plan: backend costs", self.cost_summary()),
             (
                 "plan: est workload",
                 f"{self.workload.est_frequent_items} frequent items, "
@@ -81,10 +72,6 @@ class QueryPlan:
             "cache_policy": self.cache_policy,
             "backend_pinned": self.backend_pinned,
             "est_seconds": round(self.est_seconds, 6),
-            "costs": {
-                cost.backend: round(cost.calibrated_seconds, 6)
-                for cost in self.costs
-            },
             "est_frequent_items": self.workload.est_frequent_items,
             "est_candidates": self.workload.est_candidates,
             "n_units": self.workload.n_units,

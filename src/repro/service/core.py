@@ -148,7 +148,7 @@ class ServiceConfig:
         workers: scheduler worker threads (concurrent statements).
         max_queue_depth: queued-job bound (admission control).
         cache_entries / cache_ttl_seconds: result-cache sizing.
-        engine: counting backend for every run (``"auto"`` = planner).
+        engine: counting backend for every run (``"auto"`` = ``packed``).
         default_budget: budget applied when a request carries none.
         history_limit: finished jobs retained for polling.
         granule_hook: per-granule observer threaded into every run's
@@ -864,8 +864,8 @@ class MiningService:
         Returns ``(result, cached, plan)`` — the plan is the planner's
         decision dict for MINE runs (``None`` on cache hits: no run
         happened, so there is no plan to report) and lands on the job
-        record rather than in the cacheable payload, keeping cached
-        results byte-identical across runs while calibration drifts.
+        record, next to the run's timings, rather than in the cacheable
+        payload, which holds the answer alone.
         """
         statement = self._parse(statement_text)
         if isinstance(statement, SESSION_ONLY_STATEMENTS):
@@ -948,7 +948,7 @@ class MiningService:
 
         The plan travels *next to* the payload, never inside it: the
         payload may be cached and must stay byte-identical across runs,
-        while the plan's cost estimates move as calibration accumulates.
+        while the plan belongs with the run's timings on the job record.
         """
         environment, executor = self._environment()
         self._refresh_environment(environment, fingerprint)
@@ -1002,8 +1002,8 @@ class MiningService:
             "hit" if job.cached else ("bypassed" if job.trace else "miss")
         )
         if job.plan is not None:
-            # Planner estimate-vs-actual is the calibration-loop truth
-            # the planner's aggregate counters cannot give per query.
+            # Planner estimate vs actual, per query: what the planner's
+            # aggregate counters cannot give.
             resources["plan_backend"] = job.plan.get("backend")
             resources["planner_est_seconds"] = job.plan.get("est_seconds")
             resources["actual_seconds"] = round(elapsed, 6)

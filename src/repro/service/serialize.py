@@ -65,8 +65,8 @@ def report_to_dict(
     }
     # The trace key appears only on traced runs so that untraced payloads
     # stay byte-identical across runs (the cache-stability invariant).
-    # The plan is excluded for the same reason — its cost estimates move
-    # as planner calibration accumulates; it travels on the job record.
+    # The plan is excluded too: it travels on the job record, next to the
+    # run's timings (estimate vs actual seconds).
     if report.trace is not None:
         document["trace"] = report.trace
     return document

@@ -47,7 +47,7 @@ TML statements (end with ';'):
   SET BUDGET TIME <s>, CANDIDATES <n>, RULES <n> [STRICT];
   SET BUDGET OFF;                                -- clear run limits
   SET ENGINE dict|hashtree|vertical|packed;      -- pin counting backend
-  SET ENGINE AUTO;                               -- back to planner selection
+  SET ENGINE AUTO;                               -- back to the packed kernel
   SET TRACE ON|OFF;                              -- span trees on mining runs
 
 Ctrl-C during a MINE cancels that run (a partial report is printed);

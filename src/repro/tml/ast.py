@@ -343,9 +343,8 @@ class SetBudgetStatement:
 class SetEngineStatement:
     """``SET ENGINE <backend>;`` — pin the counting backend.
 
-    ``SET ENGINE AUTO;`` (the session default) leaves the choice to the
-    cost-based planner; ``SET ENGINE OFF;`` is a back-compat alias for
-    AUTO.  Backend names are validated at *parse* time against the
+    ``SET ENGINE AUTO;`` (the session default) runs the ``packed``
+    kernel; ``SET ENGINE OFF;`` is a back-compat alias for AUTO.  Backend names are validated at *parse* time against the
     registry in :mod:`repro.columnar.backends`, so a typo fails with the
     valid choices instead of deep in the engine.
     """

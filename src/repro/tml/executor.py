@@ -45,6 +45,7 @@ from repro.mining.tasks import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import format_trace
+from repro.planner import compute_stats
 from repro.runtime.budget import CancellationToken, RunBudget
 from repro.temporal.calendar_algebra import CalendarPattern
 from repro.temporal.granularity import Granularity
@@ -176,7 +177,7 @@ class ExecutionEnvironment:
     def set_engine(self, engine: str) -> None:
         """Pin the counting backend for every subsequent ``MINE``.
 
-        ``"auto"`` (the default) restores planner selection.  Validates
+        ``"auto"`` (the default) restores the ``packed`` kernel.  Validates
         against the backend registry and updates cached miners in place
         (their partitioning caches survive — backends share the layout).
         """
@@ -453,12 +454,9 @@ class TmlExecutor:
         ]
         granularity = getattr(inner, "granularity", None)
         if granularity is not None:
-            from repro.temporal.granularity import units_between
-
-            start, end = database.time_span()
             properties.append(("granularity", str(granularity)))
             properties.append(
-                ("units_spanned", len(units_between(start, end, granularity)) or 1)
+                ("units_spanned", compute_stats(database).units_spanned(granularity))
             )
         if isinstance(inner, MineRulesStatement):
             feature = resolve_feature(inner.feature)

@@ -90,14 +90,10 @@ def test_count_pass_empty_segment(name):
 
 def test_resolve_backend_auto_is_packed_for_any_pass():
     assert resolve_backend("auto") is get_backend("packed")
-    for n_candidates in (0, 10, 4096, 100_000):
-        for k in (0, 2, 3, 4, 9):
-            assert resolve_backend("auto", n_candidates, k).name == "packed"
 
 
 @pytest.mark.parametrize("build", [canonical_basket_db, canonical_quest_db])
-def test_resolve_backend_auto_is_what_the_planner_picks(build, monkeypatch):
-    monkeypatch.delenv("REPRO_PLAN", raising=False)
+def test_resolve_backend_auto_is_what_the_planner_picks(build):
     database = build()
     start, _ = database.time_span()
     thresholds = RuleThresholds(min_support=0.3, min_confidence=0.6)
@@ -109,10 +105,18 @@ def test_resolve_backend_auto_is_what_the_planner_picks(build, monkeypatch):
             thresholds=thresholds,
         ),
     ]
-    # A private registry: no calibration history from other tests.
+    # One miner and one registry: every run's timings are recorded, and
+    # none of them moves a later plan.
     miner = TemporalMiner(database, metrics=MetricsRegistry())
-    for task in tasks:
-        assert resolve_backend("auto").name == miner.plan_for(task).backend
+    runs = {
+        ValidPeriodTask: miner.valid_periods,
+        PeriodicityTask: miner.periodicities,
+        ConstrainedTask: miner.with_feature,
+    }
+    for _ in range(2):
+        for task in tasks:
+            assert miner.plan_for(task).backend == resolve_backend("auto").name
+            assert runs[type(task)](task).plan["backend"] == "packed"
 
 
 def test_validate_backend_name_lists_auto_and_every_backend():
@@ -123,7 +127,7 @@ def test_validate_backend_name_lists_auto_and_every_backend():
 
 
 def test_resolve_backend_explicit_name_wins():
-    assert resolve_backend("vertical", n_candidates=1, k=1).name == "vertical"
+    assert resolve_backend("vertical").name == "vertical"
     assert resolve_backend("vertical").uses_vertical
 
 

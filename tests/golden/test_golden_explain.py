@@ -2,19 +2,15 @@
 
 Each test renders ``EXPLAIN MINE ...`` (no mining happens) against a
 deterministic dataset and locks the complete row set — statement
-properties *and* the planner's decision rows (backend, cache policy,
-cost estimates) — into a JSON snapshot.  Any change to the
+properties *and* the planner's rows (backend, cache policy, cost
+estimate, workload estimate) — into a JSON snapshot.  Any change to the
 cost model, the statistics layer, or the EXPLAIN rendering shows up as a
 readable diff; rewrite intentionally with ``--update-golden``.
 
-Determinism:
-
-* each test uses a fresh :class:`~repro.obs.metrics.MetricsRegistry`,
-  so planner calibration is empty and cost estimates are the model's
-  raw output;
-* ``REPRO_PLAN`` / ``REPRO_INCREMENTAL`` are cleared so host
-  environments cannot pin a backend or refresh mode under the test (the incremental decision has its own
-  env-pinned snapshots in ``test_golden_incremental.py``).
+A plan depends only on the store and the statement, so the snapshots
+are deterministic.  ``REPRO_INCREMENTAL`` is cleared so a host
+environment cannot pin a refresh mode under the test (the incremental
+decision has its own snapshots in ``test_golden_incremental.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ EXPLAIN_STATEMENTS = {
 @pytest.fixture(autouse=True)
 def no_env_pins(monkeypatch):
     """Plans must not depend on the environment running the suite."""
-    monkeypatch.delenv("REPRO_PLAN", raising=False)
     monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
 
 

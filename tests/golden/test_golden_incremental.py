@@ -11,10 +11,9 @@ renders under ``SET INCREMENTAL AUTO``:
 * **large dirty fraction** — appends touch 15/21 units (~71%): AUTO
   falls back to a full re-mine, annotated with the dirty fraction.
 
-Only the ``incremental:`` rows are snapshotted: the surrounding cost
-rows self-tune from observed wall-clock once the priming MINE has run,
-so they are deliberately excluded to keep the snapshot deterministic.
-Rewrite intentionally with ``--update-golden``.
+Only the ``incremental:`` rows are snapshotted; the plan rows around
+them are locked by ``test_golden_explain.py``.  Rewrite intentionally
+with ``--update-golden``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ _BASE = datetime(2026, 3, 2)
 @pytest.fixture(autouse=True)
 def no_env_pins(monkeypatch):
     """Plans must not depend on the environment running the suite."""
-    monkeypatch.delenv("REPRO_PLAN", raising=False)
     monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
 
 

@@ -114,6 +114,11 @@ class TestCountingSelection:
             miner.set_counting("btree")
         assert miner.counting == "auto"  # a failed set leaves it unchanged
 
+    def test_constructor_validates(self, seasonal_data):
+        with pytest.raises(MiningParameterError, match="unknown counting backend"):
+            TemporalMiner(seasonal_data.database, counting="btree")
+        assert TemporalMiner(seasonal_data.database, counting="hashtree").counting == "hashtree"
+
     @pytest.mark.parametrize("backend", ["dict", "hashtree", "vertical"])
     def test_all_tasks_agree_with_auto(self, seasonal_data, backend):
         """Backend choice never changes what any task discovers."""

@@ -178,24 +178,16 @@ def test_periodicities_bit_identical(database, backend, workers):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def no_plan_env(monkeypatch):
-    """The differential must compare the real planner, not an env pin."""
-    monkeypatch.delenv("REPRO_PLAN", raising=False)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_planned_equals_pinned_valid_periods(
-    database, backend, workers, no_plan_env
-):
+def test_planned_equals_pinned_valid_periods(database, backend, workers):
     task = ValidPeriodTask(
         granularity=Granularity.DAY,
         thresholds=_THRESHOLDS,
         min_frequency=0.8,
         min_coverage=2,
     )
-    planned = TemporalMiner(database).valid_periods(task)  # planner picks
+    planned = TemporalMiner(database).valid_periods(task)  # AUTO: packed
     pinned = TemporalMiner(database, counting=backend).valid_periods(task)
     with ShardedExecutor(workers) as executor:
         sharded = _sharded_report(database, task, backend, executor)
@@ -205,7 +197,7 @@ def test_planned_equals_pinned_valid_periods(
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_planned_equals_pinned_periodicities(database, backend, no_plan_env):
+def test_planned_equals_pinned_periodicities(database, backend):
     task = PeriodicityTask(
         granularity=Granularity.DAY,
         thresholds=_THRESHOLDS,
@@ -219,7 +211,7 @@ def test_planned_equals_pinned_periodicities(database, backend, no_plan_env):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_planned_equals_pinned_constrained(database, backend, no_plan_env):
+def test_planned_equals_pinned_constrained(database, backend):
     start, end = database.time_span()
     task = ConstrainedTask(
         feature=TimeInterval(start, start + (end - start) / 2),

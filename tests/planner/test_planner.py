@@ -1,8 +1,8 @@
 """Unit tests for the cost-based query planner.
 
-Statistics, cost model, plan rendering and the ``plan_query`` decision
-procedure — plus the feedback loop (``record_observed`` →
-``calibration_factors``) and the environment pin (``REPRO_PLAN``).
+Statistics, the wall-time estimate, plan rendering and ``plan_query``
+— AUTO is the ``packed`` kernel, a pin overrides it — plus the
+estimate-vs-actual counters ``record_observed`` accumulates.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from repro.core.transactions import TransactionDatabase
 from repro.errors import MiningParameterError
 from repro.obs.metrics import MetricsRegistry
 from repro.planner import (
-    COSTED_BACKENDS,
     StatementShape,
     StoreStats,
-    backend_costs,
-    calibration_factors,
     compute_stats,
+    estimate_seconds,
     estimate_workload,
     plan_query,
     record_observed,
@@ -89,33 +87,22 @@ class TestStats:
         assert stats.units_spanned(Granularity.DAY) == 1
 
 
-class TestCostModel:
-    def test_all_costed_backends_scored(self):
-        costs = backend_costs(BIG_STATS, SHAPE, {})
-        assert tuple(c.backend for c in costs) == COSTED_BACKENDS
-        assert all(c.seconds > 0 for c in costs)
+UNITLESS = StatementShape(task="constrained", granularity=None, min_support=0.05)
 
+
+class TestCostModel:
     def test_estimates_deterministic(self):
-        a = backend_costs(BIG_STATS, SHAPE, {})
-        b = backend_costs(BIG_STATS, SHAPE, {})
-        assert a == b
+        for shape in (SHAPE, UNITLESS):
+            estimate = estimate_seconds(BIG_STATS, shape)
+            assert estimate > 0
+            assert estimate_seconds(BIG_STATS, shape) == estimate
 
     def test_more_data_costs_more(self):
         small = StoreStats(
             2_000, 500, 20_000, BIG_STATS.first_timestamp, BIG_STATS.last_timestamp
         )
-        cheap = {c.backend: c.seconds for c in backend_costs(small, SHAPE, {})}
-        dear = {c.backend: c.seconds for c in backend_costs(BIG_STATS, SHAPE, {})}
-        for backend in COSTED_BACKENDS:
-            assert dear[backend] > cheap[backend]
-
-    def test_calibration_scales_comparison(self):
-        plain = backend_costs(BIG_STATS, SHAPE, {})
-        skewed = backend_costs(BIG_STATS, SHAPE, {"packed": 4.0})
-        by_name = {c.backend: c for c in skewed}
-        assert by_name["packed"].calibrated_seconds == pytest.approx(
-            4.0 * next(c.seconds for c in plain if c.backend == "packed")
-        )
+        for shape in (SHAPE, UNITLESS):
+            assert estimate_seconds(BIG_STATS, shape) > estimate_seconds(small, shape)
 
     def test_workload_estimate_shrinks_with_support(self):
         loose = estimate_workload(BIG_STATS, SHAPE)
@@ -145,19 +132,18 @@ class TestPlanQuery:
         )
         assert estimate_workload(empty, shape).pass_candidates >= 1
         plan = plan_query(empty, shape, metrics=MetricsRegistry())
-        assert all(cost.seconds >= 0 for cost in plan.costs)
+        assert plan.est_seconds >= 0
         # ... and through the database front door, as EXPLAIN reaches it.
         assert plan_query(
             TransactionDatabase(), shape, metrics=MetricsRegistry()
         ).backend == plan.backend
 
-    def test_cheapest_backend_wins(self):
-        registry = MetricsRegistry()
-        plan = plan_query(BIG_STATS, SHAPE, metrics=registry)
-        cheapest = min(
-            plan.costs, key=lambda c: (c.calibrated_seconds, c.backend)
-        )
-        assert plan.backend == cheapest.backend
+    def test_auto_is_packed_with_its_estimate(self):
+        for pin in (None, "auto"):
+            plan = plan_query(BIG_STATS, SHAPE, pin_backend=pin, metrics=MetricsRegistry())
+            assert plan.backend == "packed" and not plan.backend_pinned
+            assert plan.est_seconds == estimate_seconds(BIG_STATS, SHAPE)
+            assert plan.reasons == ()
 
     def test_pins_honoured(self):
         plan = plan_query(
@@ -167,29 +153,13 @@ class TestPlanQuery:
             metrics=MetricsRegistry(),
         )
         assert plan.backend == "dict" and plan.backend_pinned
+        # The horizontal backends have no cost model.
+        assert plan.est_seconds == 0.0
+        assert plan.reasons == ("pinned backend has no cost model; estimates omitted",)
 
     def test_unknown_pin_rejected(self):
         with pytest.raises(MiningParameterError, match="unknown counting backend"):
             plan_query(_db(), SHAPE, pin_backend="btree", metrics=MetricsRegistry())
-
-    def test_env_pin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN", "hashtree")
-        plan = plan_query(_db(), SHAPE, metrics=MetricsRegistry())
-        assert plan.backend == "hashtree" and plan.backend_pinned
-        assert any("REPRO_PLAN" in reason for reason in plan.reasons)
-
-    def test_malformed_env_pin_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN", "btree")
-        with pytest.warns(RuntimeWarning, match="REPRO_PLAN"):
-            plan = plan_query(_db(), SHAPE, metrics=MetricsRegistry())
-        assert not plan.backend_pinned
-
-    def test_explicit_pin_beats_env_pin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN", "hashtree")
-        plan = plan_query(
-            _db(), SHAPE, pin_backend="dict", metrics=MetricsRegistry()
-        )
-        assert plan.backend == "dict"
 
     def test_cache_policy_follows_shape(self):
         cacheable = StatementShape(
@@ -221,10 +191,10 @@ class TestPlanRendering:
             "plan: backend",
             "plan: cache",
             "plan: est cost",
-            "plan: backend costs",
             "plan: est workload",
         ):
             assert expected in names
+        assert not any(name == "plan: backend costs" for name in names)
 
     def test_pinned_marker_rendered(self):
         plan = plan_query(
@@ -240,109 +210,152 @@ class TestPlanRendering:
         plan = plan_query(BIG_STATS, SHAPE, metrics=MetricsRegistry())
         document = plan.to_dict()
         assert json.loads(json.dumps(document)) == document
-        assert set(document["costs"]) == set(COSTED_BACKENDS)
+        assert "costs" not in document
 
-class TestCalibration:
-    def test_fresh_registry_has_no_factors(self):
-        assert calibration_factors(MetricsRegistry()) == {}
 
-    def test_observed_runs_produce_clamped_factors(self):
+def _observed(registry: MetricsRegistry) -> tuple:
+    """(estimated, actual) seconds recorded for the packed kernel."""
+    return tuple(
+        registry.counter(
+            f"repro_planner_{kind}_seconds_total",
+            "",
+            labelnames=("backend",),
+        ).value(backend="packed")
+        for kind in ("estimated", "actual")
+    )
+
+
+class TestObservedCounters:
+    def test_record_observed_accumulates_both_counters(self):
         registry = MetricsRegistry()
         plan = plan_query(BIG_STATS, SHAPE, metrics=registry)
-        record_observed(plan, plan.est_seconds * 2.0, metrics=registry)
-        factors = calibration_factors(registry)
-        assert factors[plan.backend] == pytest.approx(2.0, rel=1e-6)
-        # A wildly skewed observation clamps instead of dominating.
-        record_observed(plan, plan.est_seconds * 1000.0, metrics=registry)
-        assert calibration_factors(registry)[plan.backend] == 5.0
+        record_observed(plan, 0.25, metrics=registry)
+        record_observed(plan, 0.5, metrics=registry)
+        estimated, actual = _observed(registry)
+        assert estimated == pytest.approx(2 * plan.est_seconds)
+        assert actual == pytest.approx(0.75)
 
     def test_instant_runs_ignored(self):
         registry = MetricsRegistry()
         plan = plan_query(BIG_STATS, SHAPE, metrics=registry)
         record_observed(plan, 0.0, metrics=registry)
-        assert calibration_factors(registry) == {}
+        assert _observed(registry) == (0.0, 0.0)
 
-    def test_calibration_can_flip_the_decision(self):
+    def test_observations_never_move_the_plan(self):
         registry = MetricsRegistry()
         baseline = plan_query(BIG_STATS, SHAPE, metrics=registry)
-        # Report the chosen backend as persistently 5x slower than
-        # modelled; with every rival unchanged the planner must defect.
+        # Report the kernel as persistently 100x slower than estimated:
+        # the counters move, the plan and its estimate do not.
         for _ in range(3):
             record_observed(
                 baseline, baseline.est_seconds * 100.0, metrics=registry
             )
-        recalibrated = plan_query(BIG_STATS, SHAPE, metrics=registry)
-        assert recalibrated.backend != baseline.backend
+        again = plan_query(BIG_STATS, SHAPE, metrics=registry)
+        assert again.backend == baseline.backend == "packed"
+        assert again.est_seconds == baseline.est_seconds
+
+
+@pytest.fixture(scope="module")
+def library_round():
+    """The regression benchmark's library round: (database, task) pairs."""
+    from repro.datagen import QuestConfig, generate_baskets, periodic_dataset
+    from repro.mining import (
+        ConstrainedTask,
+        PeriodicityTask,
+        RuleThresholds,
+        ValidPeriodTask,
+    )
+    from repro.temporal import CyclicPeriodicity
+
+    start = datetime(2025, 1, 1)
+    quest = TransactionDatabase()
+    baskets = generate_baskets(
+        QuestConfig(
+            n_transactions=5000,
+            avg_transaction_size=8,
+            avg_pattern_size=4,
+            n_items=500,
+            n_patterns=100,
+            seed=11,
+        )
+    )
+    for index, basket in enumerate(baskets):
+        quest.add(
+            start + timedelta(seconds=index * 91 * 86400 / len(baskets)),
+            [f"i{item}" for item in basket or (index,)],
+        )
+    periodic = periodic_dataset(
+        n_transactions=10000, start=start, n_days=91, quest_seed=12, seed=13
+    ).database
+    day, week = Granularity.DAY, Granularity.WEEK
+    return [
+        (quest, ValidPeriodTask(day, RuleThresholds(0.08, 0.6), max_rule_size=3)),
+        (periodic, ValidPeriodTask(day, RuleThresholds(0.10, 0.6), max_rule_size=3)),
+        (periodic, ValidPeriodTask(week, RuleThresholds(0.10, 0.6), max_rule_size=3)),
+        (
+            periodic,
+            PeriodicityTask(
+                day, RuleThresholds(0.10, 0.6), max_period=8, min_match=0.8, max_rule_size=3
+            ),
+        ),
+        (
+            periodic,
+            ConstrainedTask(
+                CyclicPeriodicity(7, 5, day),
+                RuleThresholds(0.10, 0.6),
+                granularity=day,
+                max_rule_size=3,
+            ),
+        ),
+    ]
+
+
+def _mine(miner, task):
+    """Run ``task`` through the miner method the benchmark calls for it."""
+    from repro.mining import ConstrainedTask, PeriodicityTask
+
+    if isinstance(task, PeriodicityTask):
+        return miner.periodicities(task)
+    if isinstance(task, ConstrainedTask):
+        return miner.with_feature(task)
+    return miner.valid_periods(task)
 
 
 class TestBenchShapes:
     """The regression benchmark's library round, as the planner sees it.
 
-    Its stores are small and its kernel passes cost milliseconds; the
-    cost model must pick the packed kernel for every statement.
+    AUTO runs the packed kernel for every statement, with an estimate.
     """
 
-    def test_library_round_plans_serial_packed_on_two_cpus(self):
-        from repro.datagen import QuestConfig, generate_baskets, periodic_dataset
-        from repro.mining import (
-            ConstrainedTask,
-            PeriodicityTask,
-            RuleThresholds,
-            TemporalMiner,
-            ValidPeriodTask,
-        )
-        from repro.temporal import CyclicPeriodicity
+    def test_library_round_plans_serial_packed_on_two_cpus(self, library_round):
+        from repro.mining import TemporalMiner
 
-        start = datetime(2025, 1, 1)
-        quest = TransactionDatabase()
-        baskets = generate_baskets(
-            QuestConfig(
-                n_transactions=5000,
-                avg_transaction_size=8,
-                avg_pattern_size=4,
-                n_items=500,
-                n_patterns=100,
-                seed=11,
-            )
-        )
-        for index, basket in enumerate(baskets):
-            quest.add(
-                start + timedelta(seconds=index * 91 * 86400 / len(baskets)),
-                [f"i{item}" for item in basket or (index,)],
-            )
-        periodic = periodic_dataset(
-            n_transactions=10000, start=start, n_days=91, quest_seed=12, seed=13
-        ).database
-        day, week = Granularity.DAY, Granularity.WEEK
-        statements = [
-            (quest, ValidPeriodTask(day, RuleThresholds(0.08, 0.6), max_rule_size=3)),
-            (periodic, ValidPeriodTask(day, RuleThresholds(0.10, 0.6), max_rule_size=3)),
-            (periodic, ValidPeriodTask(week, RuleThresholds(0.10, 0.6), max_rule_size=3)),
-            (
-                periodic,
-                PeriodicityTask(
-                    day, RuleThresholds(0.10, 0.6), max_period=8, min_match=0.8, max_rule_size=3
-                ),
-            ),
-            (
-                periodic,
-                ConstrainedTask(
-                    CyclicPeriodicity(7, 5, day),
-                    RuleThresholds(0.10, 0.6),
-                    granularity=day,
-                    max_rule_size=3,
-                ),
-            ),
-        ]
-        for database, task in statements:
+        for database, task in library_round:
             plan = TemporalMiner(database, metrics=MetricsRegistry()).plan_for(task)
             assert plan.backend == "packed"
             assert plan.est_seconds > 0
 
+    def test_twenty_library_mines_in_one_registry_all_run_packed(self, library_round):
+        """Earlier runs' timings never move a later run off ``packed``.
+
+        Shaped like the benchmark's library statement: a fresh miner per
+        statement, every one recording into the same registry.
+        """
+        from repro.mining import TemporalMiner
+
+        registry = MetricsRegistry()
+        for number in range(20):
+            database, task = library_round[number % len(library_round)]
+            report = _mine(TemporalMiner(database, metrics=registry), task)
+            assert report.plan["backend"] == "packed", number
+            assert not report.plan["backend_pinned"]
+
     def test_bitmap_backends_share_one_per_unit_cost(self):
-        costs = {c.backend: c for c in backend_costs(BIG_STATS, SHAPE, {})}
-        assert costs["vertical"].seconds == costs["packed"].seconds
-        assert "candidates x" in costs["packed"].detail
-        unitless = StatementShape(task="constrained", granularity=None, min_support=0.05)
-        whole = {c.backend: c for c in backend_costs(BIG_STATS, unitless, {})}
-        assert whole["vertical"].seconds != whole["packed"].seconds
+        registry = MetricsRegistry()
+        for shape in (SHAPE, UNITLESS):
+            vertical, packed = (
+                plan_query(BIG_STATS, shape, pin_backend=pin, metrics=registry)
+                for pin in ("vertical", "packed")
+            )
+            assert vertical.est_seconds == packed.est_seconds > 0
+            assert vertical.reasons == packed.reasons == ()

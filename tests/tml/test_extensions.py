@@ -79,6 +79,27 @@ class TestExplain:
         assert properties["units_spanned"] == "12"
         assert int(properties["transactions"]) == len(seasonal_data.database)
 
+    def test_units_spanned_counts_a_last_unit_that_starts_on_the_boundary(self):
+        """The last basket opens its unit, so that unit is spanned too."""
+        from datetime import datetime
+
+        from repro.core.transactions import TransactionDatabase
+
+        database = TransactionDatabase()
+        database.add(datetime(2025, 1, 1), ["a", "b"])
+        database.add(datetime(2025, 1, 2), ["a", "b"])
+        environment = ExecutionEnvironment(store=None)
+        environment.register("sales", database)
+        executor = TmlExecutor(environment)
+        statement = (
+            "MINE PERIODS FROM sales AT GRANULARITY day "
+            "WITH SUPPORT >= 0.5, CONFIDENCE >= 0.5;"
+        )
+        properties = dict(executor.execute("EXPLAIN " + statement).payload.rows)
+        assert properties["units_spanned"] == "2"
+        assert properties["plan: est workload"].endswith("over 2 units")
+        assert executor.execute(statement).payload.n_units == 2
+
     def test_explain_rules_reports_feature_size(self, seasonal_data):
         environment = ExecutionEnvironment(store=None)
         environment.register("sales", seasonal_data.database)
