@@ -5,9 +5,11 @@ metrics accumulate locally in the run monitor and flush at pass
 boundaries, tracing is a no-op ``NULL_TRACER`` attribute read when off.
 Two measurements pin that:
 
-* **overhead** — the same valid-periods task mined three ways (no
-  monitor at all; metrics enabled via an injected registry; metrics +
-  span tracing) on one warmed :class:`TemporalMiner`.  The headline
+* **overhead** — the same valid-periods task mined three ways (the
+  miner's own monitor; an explicit monitor on an injected registry;
+  that plus span tracing) on one warmed :class:`TemporalMiner`.  Every
+  run has a monitor, so the first two legs run the same accounting and
+  their ratio reads as noise; the traced leg is what tracing adds.  The headline
   number is the enabled-vs-disabled wall-clock ratio, targeted < 3%
   mean overhead (asserted loosely at 25% — CI machines are noisy; the
   honest number lives in ``BENCH_e18.json``).

@@ -147,16 +147,13 @@ class _HorizontalBackend(CountingBackend):
         segment,
         monitor: Optional[RunMonitor] = None,
     ) -> Dict[Itemset, int]:
+        monitor = monitor or RunMonitor()
         counter = self.counter_class(candidates)
         baskets = segment.baskets()
-        if monitor is None:
-            for basket in baskets:
+        for start in range(0, len(baskets), _CHECK_STRIDE):
+            monitor.checkpoint()
+            for basket in baskets[start : start + _CHECK_STRIDE]:
                 counter.count_transaction(basket)
-        else:
-            for start in range(0, len(baskets), _CHECK_STRIDE):
-                monitor.checkpoint()
-                for basket in baskets[start : start + _CHECK_STRIDE]:
-                    counter.count_transaction(basket)
         return counter.counts()
 
 

@@ -198,6 +198,7 @@ class VerticalIndex:
         ``stride`` candidates, so a budgeted pass stops promptly; the
         caller discards the incomplete pass as usual.
         """
+        monitor = monitor or RunMonitor()
         result: Dict[Itemset, int] = {}
         if not candidates:
             return result
@@ -229,11 +230,10 @@ class VerticalIndex:
                 block = block & accumulator
             for candidate, count in zip(ordered[index:stop], popcount_rows(block)):
                 result[candidate] = int(count)
-            if monitor is not None:
-                since_checkpoint += stop - index
-                if since_checkpoint >= stride:
-                    since_checkpoint = 0
-                    monitor.checkpoint()
+            since_checkpoint += stop - index
+            if since_checkpoint >= stride:
+                since_checkpoint = 0
+                monitor.checkpoint()
             index = stop
         return result
 
@@ -255,6 +255,7 @@ class VerticalIndex:
         (large stores, low minsup); counts are exact, so results are
         bit-identical to every other backend.
         """
+        monitor = monitor or RunMonitor()
         result: Dict[Itemset, int] = {}
         if not candidates:
             return result
@@ -270,8 +271,7 @@ class VerticalIndex:
                 continue
             ids = candidate_ids(group, sentinel)
             for start in range(0, len(group), chunk):
-                if monitor is not None:
-                    monitor.checkpoint()
+                monitor.checkpoint()
                 block = ids[start : start + chunk]
                 accumulator = matrix[block[:, 0]]
                 for column in range(1, k):
@@ -422,14 +422,14 @@ class UnitIndex:
         monitored call checkpoints once per block and may raise
         :class:`~repro.runtime.budget.RunInterrupted`.
         """
+        monitor = monitor or RunMonitor()
         if not self.n_words:
             return
         n, k = ids.shape
         matrix = self._matrix
         block = max(1, _BLOCK_BYTES // (self.n_words * 8))
         for start in range(0, n, block):
-            if monitor is not None:
-                monitor.checkpoint()
+            monitor.checkpoint()
             rows = ids[start : start + block]
             accumulator = matrix[rows[:, 0]]
             for column in range(1, k):

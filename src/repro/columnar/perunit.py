@@ -37,9 +37,9 @@ def count_items_per_unit(
     for every unit (masked or not) before the scan and may raise
     :class:`~repro.runtime.budget.RunInterrupted`.
     """
+    monitor = monitor or RunMonitor()
     n_items = units.encoded.n_items
-    if monitor is not None:
-        monitor.commit_granule_batch(range(len(units)))
+    monitor.tick_granules(range(len(units)))
     live = None if unit_mask is None else np.asarray(unit_mask, dtype=bool)
     matrix = np.zeros((n_items, len(units)), dtype=np.int64)
     units.index(live).count_into(
@@ -69,11 +69,11 @@ def count_candidates_per_unit(
     :class:`~repro.runtime.budget.RunInterrupted` mid-pass; the caller
     then discards the pass.
     """
+    monitor = monitor or RunMonitor()
     n_units = len(units)
     if not len(candidates):
         return np.zeros((0, n_units), dtype=np.int64)
-    if monitor is not None:
-        monitor.commit_granule_batch(range(n_units))
+    monitor.tick_granules(range(n_units))
     live = None if unit_mask is None else np.asarray(unit_mask, dtype=bool)
     if candidate_masks is not None:
         wanted = candidate_masks.any(axis=0)

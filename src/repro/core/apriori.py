@@ -193,6 +193,7 @@ def apriori(
         their absolute counts (possibly truncated to the completed
         passes when a monitored run stops early).
     """
+    monitor = monitor or RunMonitor()
     validate_min_support(min_support)
     options = options or AprioriOptions()
     n = len(database)
@@ -212,9 +213,8 @@ def apriori(
                 result[singleton] = count
                 frequent.append(singleton)
         frequent.sort()
-        if monitor is not None:
-            monitor.complete_pass()
-            monitor.checkpoint()
+        monitor.complete_pass()
+        monitor.checkpoint()
 
         # Bitmap backends (vertical/packed, hence ``auto``) count against
         # one index over the whole database, built by the first pass and
@@ -231,8 +231,7 @@ def apriori(
             candidates = generate_candidates(frequent)
             if not candidates:
                 break
-            if monitor is not None:
-                monitor.charge_candidates(len(candidates))
+            monitor.charge_candidates(len(candidates))
             backend = resolve_backend(options.counting)
             segment: Union[EncodedSegment, BasketSegment] = whole
             if not backend.uses_vertical and options.transaction_reduction:
@@ -246,8 +245,7 @@ def apriori(
                     result[itemset] = count
                     frequent.append(itemset)
             frequent.sort()
-            if monitor is not None:
-                monitor.complete_pass()
+            monitor.complete_pass()
             k += 1
     except RunInterrupted:
         # Stop at the pass boundary: the interrupted pass's counts are

@@ -13,7 +13,6 @@ so either engine can back the temporal tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.apriori import FrequentItemsets, _min_count, validate_min_support
@@ -118,7 +117,7 @@ def _mine_tree(
     min_count: int,
     out: Dict[Itemset, int],
     max_size: int,
-    monitor: Optional[RunMonitor] = None,
+    monitor: RunMonitor,
 ) -> None:
     single = tree.is_single_path()
     if single is not None:
@@ -127,11 +126,10 @@ def _mine_tree(
     counts = tree.item_counts()
     # Process items in ascending support (standard order for projection).
     for item in sorted(counts, key=lambda i: (counts[i], i)):
-        if monitor is not None:
-            # Every emitted itemset's count is final the moment it is
-            # written, so stopping between projections yields an exact
-            # subset of the full result.
-            monitor.checkpoint()
+        # Every emitted itemset's count is final the moment it is
+        # written, so stopping between projections yields an exact
+        # subset of the full result.
+        monitor.checkpoint()
         count = counts[item]
         if count < min_count:
             continue
@@ -200,6 +198,7 @@ def fpgrowth(
         :func:`repro.core.apriori.apriori` returns (a subset when a
         monitored run stops early).
     """
+    monitor = monitor or RunMonitor()
     validate_min_support(min_support)
     if max_size < 0:
         raise MiningParameterError("max_size must be >= 0")

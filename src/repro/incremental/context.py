@@ -189,6 +189,7 @@ class IncrementalContext(TemporalContext):
         monitor: Optional[RunMonitor] = None,
         executor: Optional["ShardedExecutor"] = None,
     ) -> np.ndarray:
+        monitor = monitor or RunMonitor()
         n = len(ids)
         if not n:
             return super().count_level(ids, counting, monitor=monitor, executor=executor)
@@ -197,10 +198,10 @@ class IncrementalContext(TemporalContext):
         # One pass over the candidate list ticks every unit exactly once,
         # exactly like the base class's pass — cached units count as
         # covered, and the budget/chaos seam fires per granule here
-        # rather than inside the (monitor-less) recount calls below, so
-        # a warm run's report is granule-identical to a cold one.
-        if monitor is not None:
-            monitor.commit_granule_batch(range(self.n_units))
+        # rather than inside the recount calls below (each of which
+        # ticks a throwaway monitor of its own), so a warm run's report
+        # is granule-identical to a cold one.
+        monitor.tick_granules(range(self.n_units))
 
         cached = np.flatnonzero(slots >= 0)
         commit_epochs = self._row_epochs[slots[cached]]

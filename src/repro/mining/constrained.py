@@ -128,6 +128,7 @@ def mine_with_feature(
     run that stops early reports the rules derivable from Apriori's
     completed passes with ``partial=True`` (strict mode raises).
     """
+    monitor = monitor or RunMonitor()
     started = time.perf_counter()
     tracer = tracer_of(monitor)
     granularity = task.effective_granularity()
@@ -171,22 +172,20 @@ def mine_with_feature(
                 rules = []
         try:
             for rule in rules:
-                if monitor is not None:
-                    monitor.charge_rule()
+                monitor.charge_rule()
                 results.append(
                     ConstrainedRule(rule=rule, feature_description=description)
                 )
         except RunInterrupted:
             pass
     elapsed = time.perf_counter() - started
-    if monitor is not None:
-        monitor.raise_for_strict()
+    monitor.raise_for_strict()
     return MiningReport(
         task_name="constrained",
         results=tuple(results),
         n_transactions=len(restricted),
         n_units=0,
         elapsed_seconds=elapsed,
-        partial=monitor.stopped if monitor is not None else False,
-        diagnostics=monitor.diagnostics() if monitor is not None else None,
+        partial=monitor.stopped,
+        diagnostics=monitor.diagnostics(),
     )

@@ -375,6 +375,7 @@ def per_unit_frequent_itemsets(
             fanning every counting pass across worker processes; output
             is bit-identical to the serial run.
     """
+    monitor = monitor or RunMonitor()
     if not 0.0 < min_support <= 1.0:
         raise MiningParameterError(f"min_support must be in (0, 1], got {min_support}")
     if min_units < 1:
@@ -389,8 +390,7 @@ def per_unit_frequent_itemsets(
         ids = ids[keep]
         if len(ids):
             levels.append((ids, matrix[keep]))
-        if monitor is not None:
-            monitor.complete_pass()
+        monitor.complete_pass()
         return ids
 
     try:
@@ -404,8 +404,7 @@ def per_unit_frequent_itemsets(
             candidates = next_level(frontier)
             if not len(candidates):
                 break
-            if monitor is not None:
-                monitor.charge_candidates(len(candidates))
+            monitor.charge_candidates(len(candidates))
             with tracer.span("pass", k=k, candidates=len(candidates)):
                 matrix = context.count_level(
                     candidates, counting=counting, monitor=monitor, executor=executor

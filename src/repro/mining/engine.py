@@ -84,23 +84,6 @@ def _shape_of(
     )
 
 
-def _make_monitor(
-    budget: Optional[RunBudget],
-    token: Optional[CancellationToken],
-    monitor: Optional[RunMonitor],
-    granule_hook: Optional[Callable[[int], None]],
-    metrics: Optional[MetricsRegistry] = None,
-) -> Optional[RunMonitor]:
-    """Resolve the monitor for one run (explicit monitor wins)."""
-    if monitor is not None:
-        return monitor
-    if budget is None and token is None and granule_hook is None:
-        return None
-    return RunMonitor(
-        budget=budget, token=token, granule_hook=granule_hook, metrics=metrics
-    )
-
-
 def _checked_row(entry: Sequence) -> Tuple[datetime, List[Union[str, int]], Optional[int]]:
     """One appended ``(timestamp, items[, tid])`` row, validated but unapplied."""
     timestamp, items = entry[0], entry[1]
@@ -352,21 +335,18 @@ class TemporalMiner:
         token: Optional[CancellationToken],
         monitor: Optional[RunMonitor],
         granule_hook: Optional[Callable[[int], None]],
-    ) -> Tuple[Optional[RunMonitor], Optional[Tracer]]:
-        """The (monitor, tracer) pair for one run.
+    ) -> Tuple[RunMonitor, Optional[Tracer]]:
+        """The (monitor, tracer) pair for one run (explicit monitor wins).
 
         Tracing rides on the monitor (``monitor.trace``) because the
         monitor is the one per-run object already threaded through every
-        counting loop; enabling tracing therefore forces a monitor even
-        when no budget or token was requested.
+        counting loop.
         """
-        resolved = _make_monitor(
-            budget, token, monitor, granule_hook, metrics=self.metrics
+        resolved = monitor or RunMonitor(
+            budget=budget, token=token, granule_hook=granule_hook, metrics=self.metrics
         )
         if not self.trace:
             return resolved, None
-        if resolved is None:
-            resolved = RunMonitor(metrics=self.metrics)
         tracer = Tracer()
         resolved.trace = tracer
         return resolved, tracer

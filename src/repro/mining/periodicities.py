@@ -241,6 +241,7 @@ def discover_periodicities(
     reports the findings derivable from the completed passes with
     ``partial=True`` (strict mode raises instead).
     """
+    monitor = monitor or RunMonitor()
     started = time.perf_counter()
     tracer = tracer_of(monitor)
     if context is None:
@@ -274,22 +275,20 @@ def discover_periodicities(
                 context,
                 task,
             ):
-                if monitor is not None:
-                    monitor.charge_rule()
+                monitor.charge_rule()
                 findings.append(finding)
     except RunInterrupted:
         pass
     elapsed = time.perf_counter() - started
-    if monitor is not None:
-        monitor.raise_for_strict()
+    monitor.raise_for_strict()
     return MiningReport(
         task_name="periodicities",
         results=tuple(findings),
         n_transactions=len(database),
         n_units=context.n_units,
         elapsed_seconds=elapsed,
-        partial=monitor.stopped if monitor is not None else False,
-        diagnostics=monitor.diagnostics() if monitor is not None else None,
+        partial=monitor.stopped,
+        diagnostics=monitor.diagnostics(),
     )
 
 
@@ -332,6 +331,7 @@ def discover_cyclic_interleaved(
     (a property the test suite asserts) while scanning far fewer
     (unit, candidate) pairs.
     """
+    monitor = monitor or RunMonitor()
     if task.min_match < 1.0 - _EPS:
         raise MiningParameterError(
             "the interleaved algorithm requires min_match == 1.0"
@@ -378,15 +378,13 @@ def discover_cyclic_interleaved(
                 if cycles:
                     counts[singleton] = row
                     itemset_cycles[singleton] = cycles
-            if monitor is not None:
-                monitor.complete_pass()
+            monitor.complete_pass()
 
         frontier = sorted(itemset_cycles)
         k = 2
         while frontier and (task.max_rule_size == 0 or k <= task.max_rule_size):
             joined = generate_candidates(frontier)
-            if monitor is not None:
-                monitor.charge_candidates(len(joined))
+            monitor.charge_candidates(len(joined))
             # Cycle pruning: inherit the intersection of the subsets' cycles.
             candidate_cycles: Dict[Itemset, Set[Cycle]] = {}
             for candidate in joined:
@@ -435,8 +433,7 @@ def discover_cyclic_interleaved(
                     itemset_cycles[candidate] = survivors
                     frontier.append(candidate)
             frontier.sort()
-            if monitor is not None:
-                monitor.complete_pass()
+            monitor.complete_pass()
             k += 1
     except RunInterrupted:
         pass
@@ -479,12 +476,11 @@ def discover_cyclic_interleaved(
             if task.prune_submultiples:
                 rule_cycles = prune_submultiple_cycles(rule_cycles)
             for cycle, n_members, n_valid in rule_cycles:
-                if monitor is not None:
-                    try:
-                        monitor.charge_rule()
-                    except RunInterrupted:
-                        interrupted = True
-                        break
+                try:
+                    monitor.charge_rule()
+                except RunInterrupted:
+                    interrupted = True
+                    break
                 mask = members(cycle)
                 denominator_support = int(context.unit_sizes[mask].sum())
                 denominator_confidence = int(antecedent_row[mask].sum())
@@ -521,14 +517,13 @@ def discover_cyclic_interleaved(
             f.periodicity.offset,  # type: ignore[union-attr]
         )
     )
-    if monitor is not None:
-        monitor.raise_for_strict()
+    monitor.raise_for_strict()
     return MiningReport(
         task_name="periodicities",
         results=tuple(findings),
         n_transactions=len(database),
         n_units=context.n_units,
         elapsed_seconds=elapsed,
-        partial=monitor.stopped if monitor is not None else False,
-        diagnostics=monitor.diagnostics() if monitor is not None else None,
+        partial=monitor.stopped,
+        diagnostics=monitor.diagnostics(),
     )

@@ -140,8 +140,9 @@ class MiningReport:
         elapsed_seconds: wall-clock mining time.
         partial: the run stopped early (budget exhausted or cancelled);
             the results are a sound subset of the full run's.
-        diagnostics: what the run did and why it stopped (populated
-            whenever the run was monitored, partial or not).
+        diagnostics: what the run did and why it stopped (populated by
+            every run of the three tasks, partial or not: each has a
+            run monitor).
         trace: the serialized span tree for the run (populated only
             when the miner ran with tracing enabled; see
             :mod:`repro.obs.trace`).

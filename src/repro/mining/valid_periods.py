@@ -197,6 +197,7 @@ def discover_valid_periods(
     Returns:
         A :class:`MiningReport` of :class:`ValidPeriodRule` records.
     """
+    monitor = monitor or RunMonitor()
     started = time.perf_counter()
     tracer = tracer_of(monitor)
     if context is None:
@@ -229,8 +230,7 @@ def discover_valid_periods(
                     series, context, task.min_frequency, task.min_coverage
                 )
                 if periods:
-                    if monitor is not None:
-                        monitor.charge_rule()
+                    monitor.charge_rule()
                     findings.append(
                         ValidPeriodRule(
                             key=series.key,
@@ -241,14 +241,13 @@ def discover_valid_periods(
     except RunInterrupted:
         pass
     elapsed = time.perf_counter() - started
-    if monitor is not None:
-        monitor.raise_for_strict()
+    monitor.raise_for_strict()
     return MiningReport(
         task_name="valid_periods",
         results=tuple(findings),
         n_transactions=len(database),
         n_units=context.n_units,
         elapsed_seconds=elapsed,
-        partial=monitor.stopped if monitor is not None else False,
-        diagnostics=monitor.diagnostics() if monitor is not None else None,
+        partial=monitor.stopped,
+        diagnostics=monitor.diagnostics(),
     )

@@ -25,7 +25,6 @@ no-op context manager when no tracer is attached.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -49,20 +48,6 @@ class Span:
         if self.ended is None:
             return 0.0
         return self.ended - self.started
-
-    def to_dict(self, origin: float) -> Dict[str, object]:
-        node: Dict[str, object] = {
-            "name": self.name,
-            "start_ms": round((self.started - origin) * 1000.0, 3),
-            "duration_ms": round(self.duration() * 1000.0, 3),
-        }
-        if self.attrs:
-            node["attrs"] = dict(self.attrs)
-        if self.status != "ok":
-            node["status"] = self.status
-        if self.children:
-            node["children"] = [child.to_dict(origin) for child in self.children]
-        return node
 
 
 class _SpanContext:
@@ -91,11 +76,15 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects one run's span tree (thread-safe, monotonic timings)."""
+    """Collects one run's span tree (monotonic timings).
+
+    Like the :class:`~repro.runtime.budget.RunMonitor` it rides on, a
+    tracer belongs to the thread that runs the mine; nothing in it is
+    locked.
+    """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
-        self._lock = threading.Lock()
         self._origin = clock()
         self._roots: List[Span] = []
         self._stack: List[Span] = []
@@ -109,69 +98,64 @@ class Tracer:
         return _SpanContext(self, Span(name, attrs))
 
     def _open(self, span: Span) -> None:
-        with self._lock:
-            span.started = self._clock()
-            if self._stack:
-                self._stack[-1].children.append(span)
-            else:
-                self._roots.append(span)
-            self._stack.append(span)
+        span.started = self._clock()
+        if self._stack:
+            self._stack[-1].children.append(span)
+        else:
+            self._roots.append(span)
+        self._stack.append(span)
 
     def _close(self, span: Span) -> None:
-        with self._lock:
-            span.ended = self._clock()
-            # Close any deeper spans left open by a non-local exit, so
-            # the tree stays well-formed even if an inner ``with`` was
-            # bypassed (defensive; context managers normally unwind in
-            # order).
-            while self._stack and self._stack[-1] is not span:
-                dangling = self._stack.pop()
-                if dangling.ended is None:
-                    dangling.ended = span.ended
-                    dangling.status = "interrupted"
-            if self._stack and self._stack[-1] is span:
-                self._stack.pop()
+        span.ended = self._clock()
+        # Close any deeper spans left open by a non-local exit, so the
+        # tree stays well-formed even if an inner ``with`` was bypassed
+        # (defensive; context managers normally unwind in order).
+        while self._stack and self._stack[-1] is not span:
+            dangling = self._stack.pop()
+            if dangling.ended is None:
+                dangling.ended = span.ended
+                dangling.status = "interrupted"
+        if self._stack and self._stack[-1] is span:
+            self._stack.pop()
 
     def to_dict(self) -> Dict[str, object]:
         """The finished trace as a JSON-able document."""
-        with self._lock:
-            ended = self._clock()
-            # Snapshot open spans too (a mid-run export must not crash).
-            # Rendered recursively rather than via Span.to_dict: an open
-            # span can sit at ANY depth (a budget stop unwinding through
-            # nested passes, or a mid-run export), and every open span —
-            # child or root — must get the same fallback end time, never
-            # a zero/negative duration.
-            def render(span: Span) -> Dict[str, object]:
-                span_end = span.ended if span.ended is not None else ended
-                node: Dict[str, object] = {
-                    "name": span.name,
-                    "start_ms": round((span.started - self._origin) * 1000.0, 3),
-                    "duration_ms": round((span_end - span.started) * 1000.0, 3),
-                }
-                if span.attrs:
-                    node["attrs"] = dict(span.attrs)
-                status = span.status
-                if span.ended is None and status == "ok":
-                    status = "open"
-                if status != "ok":
-                    node["status"] = status
-                if span.children:
-                    node["children"] = [render(child) for child in span.children]
-                return node
-
-            return {
-                "spans": [render(root) for root in self._roots],
-                "total_ms": round(
-                    sum(
-                        ((root.ended if root.ended is not None else ended)
-                         - root.started)
-                        for root in self._roots
-                    )
-                    * 1000.0,
-                    3,
-                ),
+        ended = self._clock()
+        # Snapshot open spans too (a mid-run export must not crash).  An
+        # open span can sit at ANY depth (a budget stop unwinding through
+        # nested passes, or a mid-run export), and every open span —
+        # child or root — gets the same fallback end time, never a
+        # zero/negative duration.
+        def render(span: Span) -> Dict[str, object]:
+            span_end = span.ended if span.ended is not None else ended
+            node: Dict[str, object] = {
+                "name": span.name,
+                "start_ms": round((span.started - self._origin) * 1000.0, 3),
+                "duration_ms": round((span_end - span.started) * 1000.0, 3),
             }
+            if span.attrs:
+                node["attrs"] = dict(span.attrs)
+            status = span.status
+            if span.ended is None and status == "ok":
+                status = "open"
+            if status != "ok":
+                node["status"] = status
+            if span.children:
+                node["children"] = [render(child) for child in span.children]
+            return node
+
+        return {
+            "spans": [render(root) for root in self._roots],
+            "total_ms": round(
+                sum(
+                    ((root.ended if root.ended is not None else ended)
+                     - root.started)
+                    for root in self._roots
+                )
+                * 1000.0,
+                3,
+            ),
+        }
 
 
 class NullTracer:
@@ -206,12 +190,9 @@ NULL_TRACER = NullTracer()
 def tracer_of(monitor) -> object:
     """The tracer riding on a run monitor, or :data:`NULL_TRACER`.
 
-    Accepts ``None`` so hot loops can call it unconditionally — the
-    monitor is the per-run object every loop already threads through,
-    which is exactly why the tracer travels on it.
+    The monitor is the per-run object every loop already threads
+    through, which is exactly why the tracer travels on it.
     """
-    if monitor is None:
-        return NULL_TRACER
     tracer = getattr(monitor, "trace", None)
     return tracer if tracer is not None else NULL_TRACER
 

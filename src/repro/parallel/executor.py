@@ -12,9 +12,9 @@ first.
 Resilience contract:
 
 * **Budgets/cancellation** — the parent checkpoints the run monitor as
-  shard results arrive and commits per-shard granule batches
-  (:meth:`~repro.runtime.budget.RunMonitor.commit_granule_batch`)
-  before merging; a stop drains the in-flight futures and re-raises
+  shard results arrive and ticks every shard's granules in shard order
+  (:meth:`~repro.runtime.budget.RunMonitor.tick_granules`) before
+  merging; a stop drains the in-flight futures and re-raises
   :class:`~repro.runtime.budget.RunInterrupted`, so the caller discards
   the pass and returns the same sound pass-boundary partials a serial
   run would.
@@ -223,7 +223,6 @@ class ShardedExecutor:
         bounds: np.ndarray,
         submit,
         monitor: Optional[RunMonitor],
-        tick_granules: bool,
     ) -> Optional[List[np.ndarray]]:
         """Fan one pass out; collect per-shard matrices in shard order.
 
@@ -232,6 +231,7 @@ class ShardedExecutor:
         :class:`RunInterrupted` on a budget/cancellation stop, with the
         in-flight work drained first.
         """
+        monitor = monitor or RunMonitor()
         token = self._attach(encoded)
         pool = self._ensure_pool()
         with tracer_of(monitor).span(
@@ -252,8 +252,7 @@ class ShardedExecutor:
             try:
                 for future in futures:
                     results.append(future.result())
-                    if monitor is not None:
-                        monitor.checkpoint()
+                    monitor.checkpoint()
             except RunInterrupted:
                 self._drain(futures)
                 raise
@@ -261,12 +260,10 @@ class ShardedExecutor:
                 self._drain(futures)
                 self._degrade(error)
                 return None
-            if monitor is not None and tick_granules:
-                # Per-shard granule checkpoints, committed in shard order so
-                # the pass log can never interleave; a stop here discards
-                # the pass exactly like a serial mid-scan stop would.
-                for shard in shards:
-                    monitor.commit_granule_batch(range(shard.unit_lo, shard.unit_hi))
+            # Per-shard granule checkpoints, in shard order; a stop here
+            # discards the pass exactly like a serial mid-scan stop would.
+            for shard in shards:
+                monitor.tick_granules(range(shard.unit_lo, shard.unit_hi))
         self._record_pass(len(shards))
         return results
 
@@ -306,7 +303,6 @@ class ShardedExecutor:
             bounds,
             lambda pool, task, shard: pool.submit(worker.count_items_shard, task),
             monitor,
-            tick_granules=True,
         )
         if results is None:
             return None
@@ -358,9 +354,7 @@ class ShardedExecutor:
                 shard_candidate_masks,
             )
 
-        results = self._run_pass(
-            encoded, shards, bounds, submit, monitor, tick_granules=True
-        )
+        results = self._run_pass(encoded, shards, bounds, submit, monitor)
         if results is None:
             return None
         started = time.perf_counter()

@@ -12,9 +12,9 @@ pieces that keep the IQMI interactive loop responsive:
   boundary.
 * :class:`RunMonitor` — the per-run accountant the hot loops consult.
   Checks are *cooperative*: counting loops call
-  :meth:`RunMonitor.tick_granule` once per time unit (granule) and
-  :meth:`RunMonitor.checkpoint` at pass boundaries, so a run always
-  stops at a granule/pass boundary with exact partial counts.
+  :meth:`RunMonitor.tick_granules` with the time units (granules) a
+  pass scans and :meth:`RunMonitor.checkpoint` at pass boundaries, so a
+  run always stops at a granule/pass boundary with exact partial counts.
 
 Budget exhaustion and cancellation travel through the mining code as the
 internal :class:`RunInterrupted` control-flow exception; task drivers
@@ -28,11 +28,12 @@ the partial outcome into :class:`~repro.errors.BudgetExceededError` /
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, List, Optional, Tuple
+from numbers import Real
+from typing import Callable, Iterable, Optional
 
 from repro.errors import (
     BudgetExceededError,
@@ -40,11 +41,6 @@ from repro.errors import (
     MiningParameterError,
 )
 from repro.obs.metrics import MetricsRegistry, default_registry
-
-#: Default cap on the per-run granule log (see ``RunMonitor``).  Long
-#: service-resident runs keep at most this many entries; older entries
-#: are dropped (and counted) rather than growing without bound.
-DEFAULT_GRANULE_LOG_CAP = 65536
 
 #: Stop reasons recorded by :class:`RunMonitor`.
 STOP_CANCELLED = "cancelled"
@@ -87,12 +83,28 @@ class RunBudget:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise MiningParameterError("max_seconds must be > 0")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise MiningParameterError("max_candidates must be >= 1")
-        if self.max_rules is not None and self.max_rules < 1:
-            raise MiningParameterError("max_rules must be >= 1")
+        # JSON admits NaN and Infinity, and bool is an int subclass:
+        # neither may slip through as a limit that never binds (or as a
+        # one-second deadline).  A journaled budget is rebuilt through
+        # here too, so replay applies the same check.
+        seconds = self.max_seconds
+        if seconds is not None and (
+            isinstance(seconds, bool)
+            or not isinstance(seconds, Real)
+            or not math.isfinite(seconds)
+            or seconds <= 0
+        ):
+            raise MiningParameterError(
+                f"max_seconds must be a finite number > 0, got {seconds!r}"
+            )
+        for name in ("max_candidates", "max_rules"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 1
+            ):
+                raise MiningParameterError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
 
     def is_unlimited(self) -> bool:
         return (
@@ -216,12 +228,19 @@ class RunDiagnostics:
 class RunMonitor:
     """Per-run accountant consulted by the mining hot loops.
 
-    One monitor guards one mining run.  The loops call the charge/tick
-    methods, which raise :class:`RunInterrupted` the moment the budget is
-    exhausted or the token is cancelled; drivers catch it at a safe
-    boundary.  A ``clock`` can be injected for deterministic tests, and
-    ``granule_hook`` is the seam the fault-injection harness uses to
-    simulate slow granules or mid-pass cancellation.
+    Every mining run has one: an entry point called without a monitor
+    makes a plain ``RunMonitor()``, which never stops the run and only
+    counts what it did, so one accounting path runs in every layer.
+
+    A monitor belongs to the thread that runs its mine, and nothing in
+    it is locked.  Other threads signal a run only through its
+    :class:`CancellationToken`, which every checkpoint polls.  The loops
+    call the charge/tick methods, which raise :class:`RunInterrupted`
+    the moment the budget is exhausted or the token is cancelled;
+    drivers catch it at a safe boundary.  A ``clock`` can be injected
+    for deterministic tests, and ``granule_hook`` is the seam the
+    fault-injection harness uses to simulate slow granules or mid-pass
+    cancellation.
     """
 
     __slots__ = (
@@ -229,7 +248,6 @@ class RunMonitor:
         "token",
         "granule_hook",
         "trace",
-        "max_granule_log",
         "_clock",
         "_started",
         "_deadline",
@@ -238,10 +256,6 @@ class RunMonitor:
         "_candidates",
         "_rules",
         "_stop_reason",
-        "_lock",
-        "_staged_batches",
-        "_granule_log",
-        "_granule_dropped",
         "_metrics",
         "_flushed_passes",
         "_flushed_granules",
@@ -256,12 +270,7 @@ class RunMonitor:
         clock: Callable[[], float] = time.monotonic,
         granule_hook: Optional[Callable[[int], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        max_granule_log: Optional[int] = DEFAULT_GRANULE_LOG_CAP,
     ):
-        if max_granule_log is not None and max_granule_log < 1:
-            raise MiningParameterError(
-                f"max_granule_log must be >= 1 or None, got {max_granule_log}"
-            )
         self.budget = budget if budget is not None else RunBudget()
         self.token = token
         self.granule_hook = granule_hook
@@ -270,7 +279,6 @@ class RunMonitor:
         #: threads through, so the tracer travels on it (see
         #: :func:`repro.obs.trace.tracer_of`).
         self.trace = None
-        self.max_granule_log = max_granule_log
         self._clock = clock
         self._started = clock()
         self._deadline = (
@@ -283,15 +291,6 @@ class RunMonitor:
         self._candidates = 0
         self._rules = 0
         self._stop_reason: Optional[str] = None
-        # Charging is lock-protected so concurrent shard mergers (the
-        # parallel executor) can share one monitor; granule batches are
-        # staged per pass and flushed in unit order at complete_pass(),
-        # so the pass log stays deterministic no matter which shard
-        # finishes first.
-        self._lock = threading.RLock()
-        self._staged_batches: List[Tuple[int, List[int]]] = []
-        self._granule_log: Deque[Tuple[int, int]] = deque()
-        self._granule_dropped = 0
         # Registry counters are flushed as *deltas* at pass boundaries
         # (and at diagnostics()), never per granule — the hot loops pay
         # zero registry locking.
@@ -342,57 +341,35 @@ class RunMonitor:
 
     def checkpoint(self) -> None:
         """Check deadline and cancellation; raise to stop the run."""
-        with self._lock:
-            if self._stop_reason is not None:
-                raise RunInterrupted(self._stop_reason)
-            if self.token is not None and self.token.cancelled:
-                raise self._stop(STOP_CANCELLED)
-            if self._deadline is not None and self._clock() > self._deadline:
-                raise self._stop(STOP_DEADLINE)
+        if self._stop_reason is not None:
+            raise RunInterrupted(self._stop_reason)
+        if self.token is not None and self.token.cancelled:
+            raise self._stop(STOP_CANCELLED)
+        if self._deadline is not None and self._clock() > self._deadline:
+            raise self._stop(STOP_DEADLINE)
 
-    def tick_granule(self, offset: int) -> None:
-        """Account one scanned time unit, then checkpoint.
+    def tick_granules(self, offsets: Iterable[int]) -> None:
+        """Account scanned time units one at a time, checkpointing each.
 
-        The fault-injection hook runs first so injected faults (a slow
-        granule, a mid-pass cancel) are observed by this very check.
+        For every unit the fault-injection hook runs first, so an
+        injected fault (a slow granule, a mid-pass cancel) is observed
+        by that unit's own check; a stop mid-range has still counted
+        the units covered up to and including the one it stopped at.
         """
-        self.commit_granule_batch((offset,))
-
-    def commit_granule_batch(self, offsets: Iterable[int]) -> None:
-        """Atomically account a contiguous run of scanned time units.
-
-        The parallel executor commits one batch per finished shard.  The
-        whole batch is staged under the monitor lock, so checkpoints from
-        concurrent shards can never interleave granules of one shard
-        into the middle of another's in the pass log; batches are
-        reordered by unit offset when the pass completes, making the log
-        deterministic regardless of shard completion order.
-
-        The fault-injection hook and the budget check run per granule,
-        exactly as in the serial loop; a mid-batch stop still records
-        the granules covered up to the stop.
-        """
-        with self._lock:
-            staged: List[int] = []
-            try:
-                for offset in offsets:
-                    if self.granule_hook is not None:
-                        self.granule_hook(offset)
-                    self._granules += 1
-                    staged.append(offset)
-                    self.checkpoint()
-            finally:
-                if staged:
-                    self._staged_batches.append((self._passes, staged))
+        hook = self.granule_hook
+        for offset in offsets:
+            if hook is not None:
+                hook(offset)
+            self._granules += 1
+            self.checkpoint()
 
     def charge_candidates(self, n: int) -> None:
         """Account ``n`` generated candidates; stop when over budget."""
-        with self._lock:
-            self._candidates += n
-            limit = self.budget.max_candidates
-            if limit is not None and self._candidates > limit:
-                raise self._stop(STOP_MAX_CANDIDATES)
-            self.checkpoint()
+        self._candidates += n
+        limit = self.budget.max_candidates
+        if limit is not None and self._candidates > limit:
+            raise self._stop(STOP_MAX_CANDIDATES)
+        self.checkpoint()
 
     def charge_rule(self) -> None:
         """Account one finding about to be emitted; stop at the cap.
@@ -400,58 +377,18 @@ class RunMonitor:
         Called *before* appending, so a run budgeted for N rules emits
         exactly N.
         """
-        with self._lock:
-            limit = self.budget.max_rules
-            if limit is not None and self._rules >= limit:
-                raise self._stop(STOP_MAX_RULES)
-            self._rules += 1
+        limit = self.budget.max_rules
+        if limit is not None and self._rules >= limit:
+            raise self._stop(STOP_MAX_RULES)
+        self._rules += 1
 
     def complete_pass(self) -> None:
-        """Mark one level-wise pass as fully counted.
-
-        Granule batches staged during the pass are flushed into
-        :meth:`pass_granule_log` in unit order — the misorder-proofing
-        for concurrent shard producers.
-        """
-        with self._lock:
-            finished = self._passes
-            batches = [b for p, b in self._staged_batches if p == finished]
-            self._staged_batches = [
-                (p, b) for p, b in self._staged_batches if p != finished
-            ]
-            for batch in sorted(batches, key=lambda b: b[0]):
-                self._granule_log.extend((finished, offset) for offset in batch)
-            if self.max_granule_log is not None:
-                while len(self._granule_log) > self.max_granule_log:
-                    self._granule_log.popleft()
-                    self._granule_dropped += 1
-            self._passes += 1
-            self._flush_metrics()
-
-    def pass_granule_log(self) -> Tuple[Tuple[int, int], ...]:
-        """Ordered ``(pass, granule_offset)`` entries of completed passes.
-
-        Within one pass the offsets are nondecreasing by construction —
-        an interrupted pass's granules are never flushed (the pass was
-        discarded), and concurrent shard batches are sorted at the pass
-        boundary.
-
-        The log is a ring buffer capped at ``max_granule_log`` entries:
-        the *newest* entries are retained, and
-        :attr:`granule_log_dropped` counts how many older ones were
-        discarded (0 for every run that fits the cap).
-        """
-        with self._lock:
-            return tuple(self._granule_log)
-
-    @property
-    def granule_log_dropped(self) -> int:
-        """Entries evicted from the capped granule log (oldest first)."""
-        with self._lock:
-            return self._granule_dropped
+        """Mark one level-wise pass as fully counted."""
+        self._passes += 1
+        self._flush_metrics()
 
     def _flush_metrics(self) -> None:
-        """Push accumulated deltas into the registry (lock held)."""
+        """Push accumulated deltas into the registry."""
         registry = self._metrics
         delta = self._passes - self._flushed_passes
         if delta:
@@ -487,10 +424,9 @@ class RunMonitor:
     # ------------------------------------------------------------------
 
     def diagnostics(self) -> RunDiagnostics:
-        with self._lock:
-            # End-of-run flush: rules emitted after the last pass (and
-            # an interrupted run's tail) still reach the registry.
-            self._flush_metrics()
+        # End-of-run flush: rules emitted after the last pass (and an
+        # interrupted run's tail) still reach the registry.
+        self._flush_metrics()
         return RunDiagnostics(
             stop_reason=self._stop_reason,
             passes_completed=self._passes,

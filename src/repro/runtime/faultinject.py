@@ -27,7 +27,7 @@ import random
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.errors import MiningParameterError
 from repro.runtime.budget import CancellationToken

@@ -134,9 +134,6 @@ def _mine(miner, task, executor=None):
 
 def _assert_reports_identical(warm, cold) -> None:
     assert warm.results == cold.results
-    if warm.diagnostics is None or cold.diagnostics is None:
-        assert warm.diagnostics is cold.diagnostics
-        return
     for field in (
         "stop_reason",
         "passes_completed",

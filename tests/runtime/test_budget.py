@@ -48,11 +48,29 @@ class TestRunBudget:
             {"max_seconds": -1.5},
             {"max_candidates": 0},
             {"max_rules": -3},
+            # JSON admits NaN and ±Infinity; bool is an int subclass.
+            {"max_seconds": float("nan")},
+            {"max_seconds": float("inf")},
+            {"max_seconds": float("-inf")},
+            {"max_seconds": True},
+            {"max_seconds": "5"},
+            {"max_candidates": 2.5},
+            {"max_candidates": 3.0},
+            {"max_candidates": True},
+            {"max_rules": 1.5},
+            {"max_rules": False},
+            {"max_rules": "3"},
         ],
     )
     def test_invalid_limits_rejected(self, kwargs):
         with pytest.raises(MiningParameterError):
             RunBudget(**kwargs)
+
+    def test_whole_and_fractional_limits_accepted(self):
+        assert RunBudget(max_seconds=2).max_seconds == 2
+        assert RunBudget(max_seconds=0.25, max_candidates=1, max_rules=1).max_rules == 1
+        spec = RunBudget(max_seconds=1.5, max_candidates=4, strict=True).to_dict()
+        assert RunBudget.from_dict(spec).to_dict() == spec
 
     def test_describe_lists_set_limits(self):
         budget = RunBudget(max_seconds=2.5, max_candidates=10, max_rules=3, strict=True)
@@ -84,8 +102,7 @@ class TestRunInterrupted:
 class TestRunMonitor:
     def test_unlimited_monitor_never_stops(self):
         monitor = RunMonitor()
-        for offset in range(100):
-            monitor.tick_granule(offset)
+        monitor.tick_granules(range(100))
         monitor.charge_candidates(10_000)
         for _ in range(50):
             monitor.charge_rule()
@@ -113,7 +130,7 @@ class TestRunMonitor:
         monitor.checkpoint()
         token.cancel()
         with pytest.raises(RunInterrupted):
-            monitor.tick_granule(0)
+            monitor.tick_granules([0])
         assert monitor.stop_reason == STOP_CANCELLED
 
     def test_candidate_budget(self):
@@ -140,7 +157,7 @@ class TestRunMonitor:
         with pytest.raises(RunInterrupted):
             monitor.checkpoint()
         with pytest.raises(RunInterrupted):
-            monitor.tick_granule(7)
+            monitor.tick_granules([7])
 
     def test_granule_hook_runs_before_the_check(self):
         token = CancellationToken()
@@ -153,7 +170,7 @@ class TestRunMonitor:
         monitor = RunMonitor(token=token, granule_hook=hook)
         # The hook cancels, and that very tick observes it.
         with pytest.raises(RunInterrupted):
-            monitor.tick_granule(4)
+            monitor.tick_granules([4])
         assert seen == [4]
         assert monitor.stop_reason == STOP_CANCELLED
 
@@ -191,42 +208,3 @@ class TestRunMonitor:
         text = monitor.diagnostics().describe()
         assert "stopped (max_rules)" in text
         assert "rules<=1" in text
-
-
-class TestGranuleLogRingBuffer:
-    def test_log_is_capped_and_counts_drops(self):
-        monitor = RunMonitor(max_granule_log=5)
-        monitor.commit_granule_batch(range(8))
-        monitor.complete_pass()
-        log = monitor.pass_granule_log()
-        assert len(log) == 5
-        # Newest entries survive; the oldest three were evicted.
-        assert log == tuple((0, offset) for offset in range(3, 8))
-        assert monitor.granule_log_dropped == 3
-
-    def test_uncapped_log_keeps_everything(self):
-        monitor = RunMonitor(max_granule_log=None)
-        monitor.commit_granule_batch(range(100))
-        monitor.complete_pass()
-        assert len(monitor.pass_granule_log()) == 100
-        assert monitor.granule_log_dropped == 0
-
-    def test_default_cap_applies(self):
-        from repro.runtime.budget import DEFAULT_GRANULE_LOG_CAP
-
-        monitor = RunMonitor()
-        assert monitor.max_granule_log == DEFAULT_GRANULE_LOG_CAP
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(MiningParameterError):
-            RunMonitor(max_granule_log=0)
-
-    def test_cap_spans_passes(self):
-        monitor = RunMonitor(max_granule_log=4)
-        for _ in range(3):
-            monitor.commit_granule_batch(range(3))
-            monitor.complete_pass()
-        log = monitor.pass_granule_log()
-        assert len(log) == 4
-        assert monitor.granule_log_dropped == 5
-        assert log == ((1, 2), (2, 0), (2, 1), (2, 2))

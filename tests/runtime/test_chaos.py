@@ -7,7 +7,6 @@ sleepers — no real waiting, no real contention).
 
 from __future__ import annotations
 
-import threading
 from datetime import datetime, timedelta
 
 import pytest
@@ -342,39 +341,3 @@ class TestWorkerChaos:
         assert {r.key for r in parallel_partial.results} <= {
             r.key for r in full.results
         }
-
-
-# ----------------------------------------------------------------------
-# concurrent granule producers → the monitor log stays deterministic
-# ----------------------------------------------------------------------
-
-
-class TestMonitorConcurrency:
-    def test_concurrent_batches_flush_in_shard_order(self):
-        monitor = RunMonitor()
-        batches = [range(lo, lo + 10) for lo in (30, 0, 20, 10)]
-        threads = [
-            threading.Thread(target=monitor.commit_granule_batch, args=(batch,))
-            for batch in batches
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        monitor.complete_pass()
-        log = monitor.pass_granule_log()
-        assert [offset for _, offset in log] == list(range(40))
-        assert all(pass_index == 0 for pass_index, _ in log)
-
-    def test_batches_attribute_to_the_pass_that_staged_them(self):
-        monitor = RunMonitor()
-        monitor.commit_granule_batch(range(0, 3))
-        monitor.complete_pass()
-        monitor.commit_granule_batch(range(5, 8))
-        monitor.commit_granule_batch(range(0, 2))
-        monitor.complete_pass()
-        log = monitor.pass_granule_log()
-        by_pass = {}
-        for pass_index, offset in log:
-            by_pass.setdefault(pass_index, []).append(offset)
-        assert by_pass == {0: [0, 1, 2], 1: [0, 1, 5, 6, 7]}

@@ -208,6 +208,12 @@ class TestErrorMapping:
         assert "400" in str(excinfo.value)
         with pytest.raises(ServiceError):
             client._request("POST", "/v1/query", {"query": "X;", "budget": {"bogus": 1}})
+        # JSON admits NaN; a NaN deadline would never bind.
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST", "/v1/query", {"query": MINE_QUERY, "budget": {"time": float("nan")}}
+            )
+        assert "400" in str(excinfo.value)
 
     def test_statement_error_422_carries_job_record(self, served):
         _, client = served
