@@ -5,14 +5,15 @@ metrics accumulate locally in the run monitor and flush at pass
 boundaries, tracing is a no-op ``NULL_TRACER`` attribute read when off.
 Two measurements pin that:
 
-* **overhead** — the same valid-periods task mined three ways (the
-  miner's own monitor; an explicit monitor on an injected registry;
-  that plus span tracing) on one warmed :class:`TemporalMiner`.  Every
-  run has a monitor, so the first two legs run the same accounting and
-  their ratio reads as noise; the traced leg is what tracing adds.  The headline
-  number is the enabled-vs-disabled wall-clock ratio, targeted < 3%
-  mean overhead (asserted loosely at 25% — CI machines are noisy; the
-  honest number lives in ``BENCH_e18.json``).
+* **overhead** — the same valid-periods task mined three ways: a
+  registry-less :class:`TemporalMiner` (its runs' monitors flush into
+  the process-wide default registry); a miner on an injected registry
+  with an explicit monitor on it; that plus span tracing.  Both miners
+  sit on one encoding, so they share its warmed unit index and differ
+  only in the telemetry each leg asks for.  The headline number is the
+  enabled-vs-disabled wall-clock ratio, targeted < 3% mean overhead
+  (asserted loosely at 25% — CI machines are noisy; the honest number
+  lives in ``BENCH_e18.json``).
 * **live scrape** — a real service + HTTP server runs mining jobs while
   ``GET /v1/metrics`` is scraped; the exposition must parse strictly
   and show nonzero mining-pass, cache and scheduler series.
@@ -55,41 +56,43 @@ def _task():
     )
 
 
-def _time_legs(miner, task, legs):
+def _time_legs(task, legs):
     """Best-of-N wall time per leg, legs interleaved within each round.
 
     Interleaving cancels slow machine drift (thermal, cache, GC) that
     would otherwise bias whichever leg happens to run last; min is the
     estimator least sensitive to OS noise.
     """
-    samples = {name: [] for name, _ in legs}
+    samples = {name: [] for name, _, _ in legs}
     for _ in range(REPEATS):
-        for name, make_kwargs in legs:
+        for name, miner, make_kwargs in legs:
             trace, kwargs = make_kwargs()
             miner.set_trace(trace)
             started = time.perf_counter()
             miner.valid_periods(task, **kwargs)
             samples[name].append(time.perf_counter() - started)
-    miner.set_trace(False)
+            miner.set_trace(False)
     return {name: min(times) for name, times in samples.items()}
 
 
 def test_e18_metrics_overhead(bench_db):
     task = _task()
     registry = MetricsRegistry()
-    miner = TemporalMiner(bench_db, metrics=registry)
-    miner.valid_periods(task)  # warm the temporal context cache
+    plain = TemporalMiner(bench_db)
+    metered = TemporalMiner(bench_db, metrics=registry)
+    plain.valid_periods(task)  # build the encoding's unit index both share
     timings = _time_legs(
-        miner,
         task,
         [
-            ("disabled", lambda: (False, {})),
+            ("disabled", plain, lambda: (False, {})),
             (
                 "metrics",
+                metered,
                 lambda: (False, {"monitor": RunMonitor(metrics=registry)}),
             ),
             (
                 "traced",
+                metered,
                 lambda: (True, {"monitor": RunMonitor(metrics=registry)}),
             ),
         ],

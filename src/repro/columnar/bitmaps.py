@@ -43,6 +43,12 @@ _PACKED_CHUNK = 4096
 #: this), so the working set does not grow with the store.
 _BLOCK_BYTES = 256 * 1024
 
+#: Widest unit, in words, whose per-unit sums the segmented kernel takes
+#: word plane by word plane (one gather-add per plane); an index with a
+#: wider unit reduces with :func:`numpy.add.reduceat` instead, whose
+#: per-cell overhead only pays off on long runs of words.
+_PLANE_WORDS = 4
+
 #: Transactions whose occurrences the unit-aligned index inserts at a
 #: time; bounds the build's scratch arrays the same way.
 _SLAB_TRANSACTIONS = 4096
@@ -297,7 +303,14 @@ class UnitIndex:
     units owning no words.  Because no word straddles two units, the
     per-unit supports of a candidate are the popcount of its
     intersected row reduced over each unit's run of words — no boundary
-    masking, and one vectorized call for all units at once.
+    masking, and a few vectorized calls for all units at once.
+
+    How that reduction runs is decided once, here: when no unit owns
+    more than :data:`_PLANE_WORDS` words, word plane ``p`` (the ``p``-th
+    word of every unit at least ``p + 1`` words wide) is gathered and
+    added to the units' sums, one plane after another; otherwise
+    :func:`numpy.add.reduceat` reduces each unit's run.  Both give the
+    same counts.
 
     Attributes:
         columns: unit offsets (into the ``bounds`` it was built from) of
@@ -306,7 +319,15 @@ class UnitIndex:
         word_starts: first word column of each indexed unit.
     """
 
-    __slots__ = ("_matrix", "columns", "sizes", "word_starts", "n_words", "n_item_rows")
+    __slots__ = (
+        "_matrix",
+        "columns",
+        "sizes",
+        "word_starts",
+        "n_words",
+        "n_item_rows",
+        "_planes",
+    )
 
     def __init__(self, matrix: np.ndarray, columns: np.ndarray, sizes: np.ndarray):
         self._matrix = matrix
@@ -316,6 +337,18 @@ class UnitIndex:
         self.word_starts = np.cumsum(unit_words) - unit_words
         self.n_words = matrix.shape[1]
         self.n_item_rows = matrix.shape[0] - 1  # last row is the zero sentinel
+        planes: Optional[List[Tuple[Union[slice, np.ndarray], np.ndarray]]] = None
+        widest = int(unit_words.max()) if len(unit_words) else 0
+        if widest <= _PLANE_WORDS:
+            planes = []
+            for plane in range(1, widest):
+                wide = np.flatnonzero(unit_words > plane)
+                units = slice(None) if len(wide) == len(unit_words) else wide
+                planes.append((units, self.word_starts[wide] + plane))
+        #: ``(units, words)`` of every word plane after the first — the
+        #: units at least that wide and their word in the plane — or
+        #: ``None`` when some unit is too wide and ``reduceat`` sums.
+        self._planes = planes
 
     @classmethod
     def from_csr(
@@ -417,9 +450,10 @@ class UnitIndex:
         Candidates are processed in blocks bounded by
         :data:`_BLOCK_BYTES`: the block's item rows are AND-ed one
         candidate column at a time, popcounted per word and summed per
-        unit (:func:`numpy.add.reduceat` over :attr:`word_starts`, which
-        are strictly increasing because empty units own no words).  A
-        monitored call checkpoints once per block and may raise
+        unit — plane by plane on an index of narrow units, else by
+        :func:`numpy.add.reduceat` over :attr:`word_starts` (strictly
+        increasing, because empty units own no words).  A monitored
+        call checkpoints once per block and may raise
         :class:`~repro.runtime.budget.RunInterrupted`.
         """
         monitor = monitor or RunMonitor()
@@ -435,13 +469,18 @@ class UnitIndex:
             for column in range(1, k):
                 accumulator &= matrix[rows[:, column]]
             per_word = popcount_words(accumulator)
-            # Drop the block's bitmaps before the reduce allocates its
-            # int64 output; no word straddles two units, so each unit's
+            # Drop the block's bitmaps before the sum allocates its
+            # output; no word straddles two units, so each unit's
             # support is the sum over its own run of words.
             del accumulator
-            out[start : start + block, self.columns] = np.add.reduceat(
-                per_word, self.word_starts, axis=1, dtype=np.int64
-            )
+            if self._planes is None:
+                sums = np.add.reduceat(per_word, self.word_starts, axis=1, dtype=np.int64)
+            else:
+                # At most _PLANE_WORDS * 64 set bits per unit: uint16 holds it.
+                sums = per_word[:, self.word_starts].astype(np.uint16)
+                for units, words in self._planes:
+                    sums[:, units] += per_word[:, words]
+            out[start : start + block, self.columns] = sums
 
     def __repr__(self) -> str:
         return (

@@ -21,6 +21,7 @@ only behind the library's construction API.
 
 from __future__ import annotations
 
+import weakref
 from datetime import datetime
 from itertools import chain, compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -45,6 +46,8 @@ class EncodedDatabase:
         "catalog",
         "_n_items",
         "_stats",
+        "_units",
+        "__weakref__",
     )
 
     def __init__(
@@ -69,6 +72,9 @@ class EncodedDatabase:
         #: Planner statistics memo (see :func:`repro.planner.stats_of_encoded`);
         #: safe to cache here because the layout is immutable once built.
         self._stats = None
+        #: Time-unit partitions by granularity (see :meth:`units`), for
+        #: the same reason.
+        self._units: Dict[Granularity, "EncodedUnits"] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -219,6 +225,29 @@ class EncodedDatabase:
         bounds = np.searchsorted(units, edges, side="left")
         return first_unit, bounds
 
+    def units(self, granularity: Granularity) -> "EncodedUnits":
+        """The partition of this database into ``granularity`` units (memoized).
+
+        One :class:`EncodedUnits` per granularity, kept on the encoding:
+        every context, miner and TML ``MINE`` over this encoding shares
+        its boundary array and the unit-aligned bitmap index it builds
+        on first use.  The memo dies with the encoding, so an append
+        (a new encoding) or a :meth:`select` restriction starts empty.
+        The partition refers back to the encoding through a weak proxy,
+        so no reference cycle keeps a replaced encoding's indexes alive
+        until the cyclic collector runs; hold the encoding, not only the
+        partition.  There is no lock: two threads racing to fill a slot
+        (or the partition's index) each build identical arrays and one
+        copy is kept, which costs a duplicate build and nothing else.
+        """
+        units = self._units.get(granularity)
+        if units is None:
+            first_unit, bounds = self.unit_bounds(granularity)
+            units = self._units.setdefault(
+                granularity, EncodedUnits(weakref.proxy(self), bounds, first_unit)
+            )
+        return units
+
     def select(self, mask: np.ndarray) -> "EncodedDatabase":
         """The transactions where the boolean row ``mask`` holds (catalog shared)."""
         sizes = np.diff(self.offsets)
@@ -293,20 +322,22 @@ class EncodedUnits:
     """An :class:`EncodedDatabase` cut into time units by a boundary array.
 
     Unit ``u`` is the transaction positions ``bounds[u]:bounds[u + 1]``
-    (empty units included).  This is what a per-unit counting pass is
-    handed — the whole partition for a serial
-    :class:`~repro.mining.context.TemporalContext`, a slice of the
-    boundary array for a shard worker.  Like :class:`EncodedSegment` it
-    owns the lazily built, pass-invariant views of its data: the
-    unit-aligned bitmap index every bitmap pass intersects, and the
-    per-unit segments the reference backends scan.
+    (empty units included), absolute unit ``first_unit + u``.  This is
+    what a per-unit counting pass is handed — the whole partition
+    (:meth:`EncodedDatabase.units`, shared by every
+    :class:`~repro.mining.context.TemporalContext` on the encoding), a
+    slice of the boundary array for a shard worker.  Like
+    :class:`EncodedSegment` it owns the lazily built, pass-invariant
+    views of its data: the unit-aligned bitmap index every bitmap pass
+    intersects, and the per-unit segments the reference backends scan.
     """
 
-    __slots__ = ("encoded", "bounds", "_index", "_segments")
+    __slots__ = ("encoded", "bounds", "first_unit", "_index", "_segments")
 
-    def __init__(self, encoded: EncodedDatabase, bounds: np.ndarray):
+    def __init__(self, encoded: EncodedDatabase, bounds: np.ndarray, first_unit: int = 0):
         self.encoded = encoded
         self.bounds = bounds
+        self.first_unit = first_unit
         self._index: Optional[UnitIndex] = None
         self._segments: Dict[int, EncodedSegment] = {}
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnar.backends import Candidates, resolve_backend
-from repro.columnar.encoded import EncodedDatabase, EncodedSegment, EncodedUnits
+from repro.columnar.encoded import EncodedDatabase, EncodedSegment
 from repro.columnar.perunit import count_candidates_per_unit, count_items_per_unit
 from repro.core.items import Item, Itemset
 from repro.core.levels import RowIndex, as_itemsets, as_rows, next_level
@@ -45,10 +45,13 @@ class TemporalContext:
     database and shared between contexts) is ordered by timestamp, so
     every time unit is a contiguous position range and partitioning
     reduces to computing the per-unit boundary array — no per-unit
-    copies.  The unit-aligned bitmap index the counting passes
-    intersect is built by the first pass that needs it and reused by
-    every later one; per-unit basket lists are materialized lazily,
-    only for the units a reference backend actually scans.
+    copies.  The partition itself is memoized on the encoding
+    (:meth:`~repro.columnar.encoded.EncodedDatabase.units`), so the
+    unit-aligned bitmap index the counting passes intersect is built by
+    the first pass on that encoding and granularity — whichever context,
+    miner or statement runs it — and reused by every later one; per-unit
+    basket lists are materialized lazily, only for the units a reference
+    backend actually scans.
 
     Attributes:
         granularity: the unit granularity.
@@ -68,10 +71,10 @@ class TemporalContext:
             database if isinstance(database, EncodedDatabase) else database.encoded()
         )
         self.granularity = granularity
-        self.first_unit, self._bounds = self.encoded.unit_bounds(granularity)
+        self.units = self.encoded.units(granularity)
+        self.first_unit, self._bounds = self.units.first_unit, self.units.bounds
         self.last_unit = self.first_unit + len(self._bounds) - 2
         self.unit_sizes = np.diff(self._bounds)
-        self.units = EncodedUnits(self.encoded, self._bounds)
 
     @property
     def n_units(self) -> int:

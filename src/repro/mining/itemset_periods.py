@@ -22,6 +22,7 @@ from repro.mining.context import PerUnitCounts, TemporalContext, per_unit_freque
 from repro.mining.results import MiningReport, ValidPeriod
 from repro.mining.tasks import ValidPeriodTask
 from repro.mining.valid_periods import maximal_valid_windows
+from repro.runtime.budget import RunMonitor
 from repro.temporal.granularity import Granularity
 from repro.temporal.interval import TimeInterval
 
@@ -57,6 +58,7 @@ def discover_itemset_periods(
     context: Optional[TemporalContext] = None,
     counts: Optional[PerUnitCounts] = None,
     counting: str = "auto",
+    monitor: Optional[RunMonitor] = None,
 ) -> MiningReport:
     """Find every itemset's maximal valid periods.
 
@@ -67,10 +69,14 @@ def discover_itemset_periods(
         min_size: smallest itemset reported (default 2; singletons are
             usually noise at this level).
         context / counts: optional precomputed structures.
+        monitor: optional run monitor; an exhausted budget or a cancel
+            stops the counting early and the report is flagged
+            ``partial=True``, its itemsets a subset of the full run's.
 
     Returns:
         A :class:`MiningReport` of :class:`ItemsetPeriods` records.
     """
+    monitor = monitor or RunMonitor()
     started = time.perf_counter()
     if context is None:
         context = TemporalContext(database, task.granularity)
@@ -81,6 +87,7 @@ def discover_itemset_periods(
             min_units=task.min_valid_units,
             max_size=task.max_rule_size,
             counting=counting,
+            monitor=monitor,
         )
     thresholds = context.local_min_counts(task.thresholds.min_support)
     findings: List[ItemsetPeriods] = []
@@ -124,6 +131,7 @@ def discover_itemset_periods(
                 periods=tuple(periods),
             )
         )
+    monitor.raise_for_strict()
     elapsed = time.perf_counter() - started
     return MiningReport(
         task_name="itemset_periods",
@@ -131,4 +139,6 @@ def discover_itemset_periods(
         n_transactions=len(database),
         n_units=context.n_units,
         elapsed_seconds=elapsed,
+        partial=monitor.stopped,
+        diagnostics=monitor.diagnostics(),
     )

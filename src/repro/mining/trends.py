@@ -25,6 +25,7 @@ from repro.core.items import ItemCatalog, Itemset
 from repro.errors import MiningParameterError
 from repro.mining.context import TemporalContext, per_unit_frequent_itemsets
 from repro.mining.results import MiningReport
+from repro.runtime.budget import RunMonitor
 from repro.temporal.granularity import Granularity
 
 
@@ -87,8 +88,8 @@ def fit_trend(supports: np.ndarray) -> Tuple[float, float, float, float]:
     total = float(((y - y.mean()) ** 2).sum())
     residual = float(((y - fitted) ** 2).sum())
     r_squared = 1.0 - residual / total if total > 0 else 0.0
-    clamp = lambda v: min(max(v, 0.0), 1.0)
-    return slope, r_squared, clamp(fitted[0]), clamp(fitted[-1])
+    start, end = np.clip(fitted[[0, -1]], 0.0, 1.0)
+    return slope, r_squared, float(start), float(end)
 
 
 def detect_trends(
@@ -101,6 +102,7 @@ def detect_trends(
     max_size: int = 0,
     context: Optional[TemporalContext] = None,
     counting: str = "auto",
+    monitor: Optional[RunMonitor] = None,
 ) -> MiningReport:
     """Find itemsets with a clear monotone support trend.
 
@@ -113,6 +115,10 @@ def detect_trends(
             over the whole window.
         min_r_squared: required linear-fit quality.
         min_size / max_size: itemset size bounds (0 = unbounded max).
+        monitor: optional run monitor; an exhausted budget or a cancel
+            stops the counting early and the report is flagged
+            ``partial=True``, its findings drawn from the fully counted
+            levels only.
 
     Returns:
         A :class:`MiningReport` of :class:`TrendFinding` records, sorted
@@ -122,11 +128,17 @@ def detect_trends(
         raise MiningParameterError("min_total_change must be in [0, 1]")
     if not 0.0 <= min_r_squared <= 1.0:
         raise MiningParameterError("min_r_squared must be in [0, 1]")
+    monitor = monitor or RunMonitor()
     started = time.perf_counter()
     if context is None:
         context = TemporalContext(database, granularity)
     counts = per_unit_frequent_itemsets(
-        context, min_support, min_units=1, max_size=max_size, counting=counting
+        context,
+        min_support,
+        min_units=1,
+        max_size=max_size,
+        counting=counting,
+        monitor=monitor,
     )
     sizes = np.maximum(context.unit_sizes, 1)
     findings: List[TrendFinding] = []
@@ -155,6 +167,7 @@ def detect_trends(
             )
         )
     findings.sort(key=lambda f: -abs(f.end_support - f.start_support))
+    monitor.raise_for_strict()
     elapsed = time.perf_counter() - started
     return MiningReport(
         task_name="trends",
@@ -162,4 +175,6 @@ def detect_trends(
         n_transactions=len(database),
         n_units=context.n_units,
         elapsed_seconds=elapsed,
+        partial=monitor.stopped,
+        diagnostics=monitor.diagnostics(),
     )

@@ -357,14 +357,13 @@ class IqmsSession:
                 summary += " (partial)"
             lines.append(summary)
             diagnostics = report.diagnostics
-            if diagnostics is not None:
-                lines.append(
-                    f"  passes={diagnostics.passes_completed}"
-                    f" granules={diagnostics.granules_covered}"
-                    f" candidates={diagnostics.candidates_generated}"
-                    f" rules={diagnostics.rules_emitted}"
-                    f" stop={diagnostics.stop_reason or 'completed'}"
-                )
+            lines.append(
+                f"  passes={diagnostics.passes_completed}"
+                f" granules={diagnostics.granules_covered}"
+                f" candidates={diagnostics.candidates_generated}"
+                f" rules={diagnostics.rules_emitted}"
+                f" stop={diagnostics.stop_reason or 'completed'}"
+            )
             if report.trace is not None:
                 lines.append("trace:")
                 for line in format_trace(report.trace).splitlines():

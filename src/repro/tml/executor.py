@@ -46,7 +46,7 @@ from repro.mining.tasks import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import format_trace
 from repro.planner import compute_stats
-from repro.runtime.budget import CancellationToken, RunBudget
+from repro.runtime.budget import CancellationToken, RunBudget, RunMonitor
 from repro.temporal.calendar_algebra import CalendarPattern
 from repro.temporal.granularity import Granularity
 from repro.temporal.interval import TimeInterval
@@ -401,6 +401,7 @@ class TmlExecutor:
             self.environment.resolve(statement.source),
             task,
             counting=self.environment.engine,
+            monitor=self._run_monitor(),
         )
         return self._mined(statement, report)
 
@@ -415,8 +416,23 @@ class TmlExecutor:
             min_r_squared=statement.min_fit,
             max_size=statement.max_size,
             counting=self.environment.engine,
+            monitor=self._run_monitor(),
         )
         return self._mined(statement, report)
+
+    def _run_monitor(self) -> RunMonitor:
+        """The monitor of a MINE run no miner task method builds one for.
+
+        Same budget, cancel token, granule hook and metrics as the
+        miner's own runs, so ``SET BUDGET`` and a cancel stop it too.
+        """
+        environment = self.environment
+        return RunMonitor(
+            budget=environment.budget,
+            token=environment.cancel_token,
+            granule_hook=environment.granule_hook,
+            metrics=environment.metrics,
+        )
 
     def _mined(self, statement, report: MiningReport) -> ExecutionResult:
         """The result of one MINE; its text lists the first 50 findings."""
@@ -509,17 +525,16 @@ class TmlExecutor:
             ("partial", str(report.partial).lower()),
         ]
         diagnostics = report.diagnostics
-        if diagnostics is not None:
-            rows.extend(
-                [
-                    ("passes_completed", str(diagnostics.passes_completed)),
-                    ("granules_covered", str(diagnostics.granules_covered)),
-                    ("candidates_generated", str(diagnostics.candidates_generated)),
-                    ("rules_emitted", str(diagnostics.rules_emitted)),
-                ]
-            )
-            if diagnostics.stop_reason is not None:
-                rows.append(("stop_reason", diagnostics.stop_reason))
+        rows.extend(
+            [
+                ("passes_completed", str(diagnostics.passes_completed)),
+                ("granules_covered", str(diagnostics.granules_covered)),
+                ("candidates_generated", str(diagnostics.candidates_generated)),
+                ("rules_emitted", str(diagnostics.rules_emitted)),
+            ]
+        )
+        if diagnostics.stop_reason is not None:
+            rows.append(("stop_reason", diagnostics.stop_reason))
         plan = getattr(report, "plan", None)
         if plan is not None:
             pinned = " (pinned)" if plan["backend_pinned"] else ""
@@ -530,14 +545,13 @@ class TmlExecutor:
                     f"{plan['est_seconds']:.3g} vs {report.elapsed_seconds:.3g}",
                 )
             )
-            if diagnostics is not None:
-                est_total = plan["est_candidates"] * max(plan["n_units"], 1)
-                rows.append(
-                    (
-                        "plan: est vs actual candidates",
-                        f"{est_total} vs {diagnostics.candidates_generated}",
-                    )
+            est_total = plan["est_candidates"] * max(plan["n_units"], 1)
+            rows.append(
+                (
+                    "plan: est vs actual candidates",
+                    f"{est_total} vs {diagnostics.candidates_generated}",
                 )
+            )
         if report.trace is not None:
             for line in format_trace(report.trace).splitlines():
                 rows.append(("trace", line))
